@@ -82,11 +82,10 @@ class OpSource
 
     /**
      * True when every lane's op stream is a pure function of
-     * (cpu, op index) — no shared draw state, no cross-lane coupling —
-     * so lanes may be fetched from different threads in any relative
-     * order with identical results. This is the workload-side
-     * requirement for sharded (PDES) runs; see docs/PDES.md. The
-     * conservative default is false.
+     * (cpu, op index) — no shared draw state, no cross-lane coupling.
+     * The simulator itself never asks; the hook stays because
+     * perfbench's TimedSource wrapper overrides it and forwards to the
+     * wrapped source. The conservative default is false.
      */
     virtual bool drawsIndependent() const { return false; }
 };

@@ -16,54 +16,9 @@ Bus::Bus(EventQueue &eq, const InterconnectParams &params,
 void
 Bus::broadcast(const SystemRequest &req, ResponseFn fn)
 {
-    if (logicalGrants_) {
-        // Hub-context callers (DMA) issue at the hub clock.
-        broadcastAt(req, std::move(fn), eq_.now());
-        return;
-    }
     queue_.push_back(Pending{req, std::move(fn), eq_.now()});
     if (!grantScheduled_)
         scheduleGrant();
-}
-
-void
-Bus::broadcastAt(const SystemRequest &req, ResponseFn fn, Tick enq)
-{
-    if (!logicalGrants_)
-        panic("Bus: broadcastAt outside logical-grant (PDES) mode");
-    // Inline FCFS arbitration: identical to the grant-event recurrence
-    // g = max(enq, previous grant + busSlot), with the same side effects
-    // in the same order (see Bus::grant).
-    const Tick g = nextFreeSlot_ > enq ? nextFreeSlot_ : enq;
-    // The per-grant accounting belongs to tick g, which can lie beyond
-    // the hub clock (backlogged bus) — defer it so a stats reset between
-    // enqueue and grant classifies the broadcast exactly as the
-    // sequential grant event would (see settleGrants).
-    grantCharges_.push_back(GrantCharge{g, g - enq});
-    CGCT_TRACE(trace_, busGrant(g, req.cpu, req.type, req.lineAddr,
-                                g - enq));
-    nextFreeSlot_ = g + params_.busSlot;
-    ++syntheticGrants_;
-
-    eq_.schedule(g + params_.snoopLatency,
-                 [this, req, fn = std::move(fn)]() mutable {
-                     resolve(req, std::move(fn));
-                 },
-                 EventPriority::Snoop);
-}
-
-void
-Bus::settleGrants(Tick up_to)
-{
-    // Charges are queued in grant-tick order (the logical recurrence is
-    // monotone), so a prefix drain applies them in sequential order.
-    while (!grantCharges_.empty() && grantCharges_.front().grant <= up_to) {
-        const GrantCharge &c = grantCharges_.front();
-        stats_.queueCycles += c.queued;
-        ++stats_.broadcasts;
-        traffic_.note(c.grant);
-        grantCharges_.pop_front();
-    }
 }
 
 void
@@ -112,10 +67,9 @@ Bus::resolve(const SystemRequest &req, ResponseFn fn)
 void
 Bus::serialize(Serializer &s) const
 {
-    if (!queue_.empty() || grantScheduled_ || !grantCharges_.empty())
-        panic("Bus: serializing with %zu requests queued and %zu grant "
-              "charges unsettled — snapshots require a drained system",
-              queue_.size(), grantCharges_.size());
+    if (!queue_.empty() || grantScheduled_)
+        panic("Bus: serializing with %zu requests queued — snapshots "
+              "require a drained system", queue_.size());
     s.u64(nextFreeSlot_);
     s.u64(stats_.broadcasts);
     s.u64(stats_.queueCycles);

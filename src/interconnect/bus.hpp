@@ -36,40 +36,6 @@ class Bus : public Interconnect
      */
     void broadcast(const SystemRequest &req, ResponseFn fn) override;
 
-    /**
-     * PDES logical-grant mode (docs/PDES.md). Sharded runs replay bus
-     * enqueues at the quantum barrier, where the hub clock lags the
-     * request's logical enqueue tick — so the enqueue time is passed
-     * explicitly and the FCFS grant is computed inline instead of via a
-     * grant event: g_i = max(enq_i, g_{i-1} + busSlot), byte-identical
-     * to the sequential grant-event recurrence as long as requests
-     * arrive in the sequential enqueue order (which the barrier merge
-     * guarantees). The skipped grant events are tallied so quiesce can
-     * reconcile the executed-event count with a sequential run.
-     */
-    void setLogicalGrants(bool on) { logicalGrants_ = on; }
-    void broadcastAt(const SystemRequest &req, ResponseFn fn,
-                     Tick enq) override;
-    std::uint64_t takeSyntheticGrants()
-    {
-        const std::uint64_t n = syntheticGrants_;
-        syntheticGrants_ = 0;
-        return n;
-    }
-
-    /**
-     * Apply the deferred per-grant accounting of every logical grant
-     * with grant tick <= @p up_to. A sequential run counts a broadcast
-     * (stats_.broadcasts, queue cycles, the traffic window) at its
-     * *grant event*, which can fire well after the enqueue when the bus
-     * is backlogged — so a stats reset between enqueue and grant must
-     * see the grant as not-yet-counted. Logical mode reproduces that by
-     * queuing the accounting at replay time and settling it here:
-     * resetStats() settles up to the reset tick first, and the PDES
-     * quiesce settles everything at the final clock.
-     */
-    void settleGrants(Tick up_to);
-
     /** On the flat bus every broadcast occupies the system-wide level. */
     std::uint64_t interChipBroadcasts() const override
     {
@@ -77,14 +43,6 @@ class Bus : public Interconnect
     }
 
     void addStats(StatGroup &group) const override;
-
-    /** Clear counters; traffic windows restart at @p now. */
-    void
-    resetStats(Tick now) override
-    {
-        settleGrants(now);
-        Interconnect::resetStats(now);
-    }
 
     /**
      * Checkpoint support. The request queue must be empty (drained
@@ -107,16 +65,7 @@ class Bus : public Interconnect
 
     std::deque<Pending> queue_;
     bool grantScheduled_ = false;
-    bool logicalGrants_ = false;
     Tick nextFreeSlot_ = 0;
-    std::uint64_t syntheticGrants_ = 0;
-
-    /** Deferred logical-grant accounting: (grant tick, queue wait). */
-    struct GrantCharge {
-        Tick grant;
-        Tick queued;
-    };
-    std::deque<GrantCharge> grantCharges_;
 };
 
 } // namespace cgct

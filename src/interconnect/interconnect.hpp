@@ -121,13 +121,6 @@ class Interconnect
     virtual void broadcast(const SystemRequest &req, ResponseFn fn) = 0;
 
     /**
-     * PDES logical-grant entry point (docs/PDES.md). Only the flat bus
-     * participates in sharded runs; other topologies panic.
-     */
-    virtual void broadcastAt(const SystemRequest &req, ResponseFn fn,
-                             Tick enq);
-
-    /**
      * Functional-warming mirror of broadcast (docs/SAMPLING.md): the node
      * applied the snoop fan-out itself with no timing events, and reports
      * the request here so topology-private tracking state (presence /
@@ -173,7 +166,7 @@ class Interconnect
     virtual void addStats(StatGroup &group) const = 0;
 
     /** Clear counters; traffic windows restart at @p now. */
-    virtual void
+    void
     resetStats(Tick now)
     {
         stats_ = Stats{};

@@ -46,7 +46,6 @@
 namespace cgct {
 
 class InvariantChecker;
-class PdesCoordinator;
 class TraceSink;
 
 /** One processor node. */
@@ -132,26 +131,6 @@ class Node : public SnoopClient
     {
         checker_ = checker;
     }
-
-    /**
-     * Sharded-run wiring (docs/PDES.md): this node lives on shard
-     * @p shard of @p pdes. Bus enqueues are deferred to the coordinator
-     * instead of touching the (hub-owned) bus from a shard thread.
-     */
-    void setPdes(PdesCoordinator *pdes, unsigned shard)
-    {
-        pdes_ = pdes;
-        pdesShard_ = shard;
-    }
-
-    /**
-     * Enter the bus with @p req, enqueued at tick @p enq and issued (for
-     * miss-latency accounting) at @p issued. Sequentially this is the
-     * body of the enqueue event; in a sharded run the PdesCoordinator
-     * calls it at the quantum barrier, replaying deferred enqueues in
-     * the sequential order through the bus's logical-grant path.
-     */
-    void postBroadcast(const SystemRequest &req, Tick issued, Tick enq);
 
     /** Per-node request statistics, broken down for Figures 2 and 7. */
     struct Stats {
@@ -388,9 +367,6 @@ class Node : public SnoopClient
     InvariantChecker *checker_ = nullptr;
     /** Warm-phase peer nodes (null outside functional warming). */
     const std::vector<Node *> *warmPeers_ = nullptr;
-    /** Sharded-run coordinator (null in sequential runs). */
-    PdesCoordinator *pdes_ = nullptr;
-    unsigned pdesShard_ = 0;
 };
 
 } // namespace cgct

@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the command-line parser used by the tools.
+ * Tests for the command-line parser used by the tools, and for the
+ * warnOnce() helper the tools report ignored options through.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/argparse.hpp"
+#include "common/log.hpp"
 
 namespace cgct {
 namespace {
@@ -140,6 +143,58 @@ TEST(ArgParse, HexValuesAccepted)
     const char *argv[] = {"prog", "--addr", "0x1000"};
     EXPECT_TRUE(p.parse(3, argv));
     EXPECT_EQ(n, 0x1000u);
+}
+
+TEST(ArgParse, UnknownOptionNamedInTheError)
+{
+    std::uint64_t n = 0;
+    ArgParser p("prog");
+    p.addU64("n", &n, "");
+    std::string err;
+    const char *argv[] = {"prog", "--n", "3", "--no-such-option", "4"};
+    EXPECT_FALSE(p.parse(5, argv, &err));
+    EXPECT_NE(err.find("unknown option --no-such-option"), std::string::npos)
+        << err;
+}
+
+TEST(ArgParse, OptionNamesMatchExactlyNotByPrefix)
+{
+    std::uint64_t n = 0;
+    ArgParser p("prog");
+    p.addU64("n", &n, "");
+    std::string err;
+    const char *longer[] = {"prog", "--nodes", "16"};
+    EXPECT_FALSE(p.parse(3, longer, &err));
+    EXPECT_NE(err.find("unknown option --nodes"), std::string::npos)
+        << err;
+
+    std::uint64_t nodes = 0;
+    ArgParser q("prog");
+    q.addU64("nodes", &nodes, "");
+    const char *shorter[] = {"prog", "--node", "16"};
+    EXPECT_FALSE(q.parse(3, shorter, &err));
+    EXPECT_EQ(nodes, 0u);
+}
+
+class WarnOnceReset : public ::testing::Test
+{
+  protected:
+    void SetUp() override { resetWarnOnceForTest(); }
+    void TearDown() override { resetWarnOnceForTest(); }
+};
+
+TEST_F(WarnOnceReset, WarnOnceDeduplicatesByKey)
+{
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(warnOnceFired(), 0u);
+    EXPECT_TRUE(warnOnce("key-a", "test", "first %d", 1));
+    EXPECT_FALSE(warnOnce("key-a", "test", "suppressed %d", 2));
+    EXPECT_FALSE(warnOnce("key-a", "test", "suppressed %d", 3));
+    EXPECT_TRUE(warnOnce("key-b", "test", "other"));
+    EXPECT_EQ(warnOnceFired(), 2u);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("first 1"), std::string::npos);
+    EXPECT_EQ(err.find("suppressed"), std::string::npos);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Tests for the broadcast bus with scripted snoop clients: arbitration and
  * snoop timing, FCFS queueing, response combining (line summary, region
  * bits, memory-controller id), data sourcing (cache-to-cache vs DRAM),
- * write-back handling, and the oracle observer hook.
+ * write-back handling, the oracle observer hook, and the drained-bus
+ * checkpoint round trip.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "interconnect/bus.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 namespace {
@@ -282,6 +284,84 @@ TEST_F(BusTest, DcbOpsCountAsExclusiveForRegions)
                   [](auto &, Tick) {});
     eq.run();
     EXPECT_TRUE(clients[1]->lastExclusive);
+}
+
+TEST_F(BusTest, RequestArrivingMidSlotWaitsForTheNextSlot)
+{
+    ASSERT_GT(params.busSlot, 1u);
+    std::vector<Tick> resolutions;
+    const auto record = [&](const SnoopResponse &, Tick) {
+        resolutions.push_back(eq.now());
+    };
+    bus.broadcast(makeReq(0, RequestType::Read, 0x0000), record);
+    eq.schedule(1, [&] {
+        bus.broadcast(makeReq(1, RequestType::Read, 0x1000), record);
+    });
+    eq.run();
+    ASSERT_EQ(resolutions.size(), 2u);
+    EXPECT_EQ(resolutions[1], params.busSlot + params.snoopLatency);
+    EXPECT_EQ(bus.stats().queueCycles, params.busSlot - 1);
+}
+
+TEST_F(BusTest, IdleBusGrantsImmediately)
+{
+    bus.broadcast(makeReq(0, RequestType::Read, 0x0000),
+                  [](auto &, Tick) {});
+    eq.run();
+    const Tick later = eq.now() + 10 * params.busSlot;
+    Tick resolved = 0;
+    eq.schedule(later, [&] {
+        bus.broadcast(makeReq(2, RequestType::Read, 0x2000),
+                      [&](const SnoopResponse &, Tick) {
+                          resolved = eq.now();
+                      });
+    });
+    eq.run();
+    EXPECT_EQ(resolved, later + params.snoopLatency);
+    EXPECT_EQ(bus.stats().queueCycles, 0u);
+    EXPECT_EQ(bus.stats().broadcasts, 2u);
+}
+
+TEST_F(BusTest, SerializeRoundTripKeepsStatsAndTraffic)
+{
+    clients[1]->lineState = LineState::Modified;
+    for (int i = 0; i < 3; ++i)
+        bus.broadcast(makeReq(0, RequestType::Read, 0x1000 * i),
+                      [](auto &, Tick) {});
+    eq.run();
+    Serializer s;
+    bus.serialize(s);
+
+    EventQueue eq2;
+    Bus restored(eq2, params, map, net, {&mc0, &mc1});
+    SectionReader r(s.buffer().data(), s.buffer().data() + s.size(),
+                    "bus");
+    restored.deserialize(r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(restored.stats().broadcasts, bus.stats().broadcasts);
+    EXPECT_EQ(restored.stats().queueCycles, bus.stats().queueCycles);
+    EXPECT_EQ(restored.stats().cacheToCache, bus.stats().cacheToCache);
+    EXPECT_EQ(restored.stats().memorySupplied,
+              bus.stats().memorySupplied);
+    EXPECT_EQ(restored.stats().cacheToCache, 3u);
+    EXPECT_EQ(restored.traffic().total(), 3u);
+
+    // The restored bus keeps counting from where the original stopped.
+    restored.broadcast(makeReq(0, RequestType::Read, 0x9000),
+                       [](auto &, Tick) {});
+    eq2.run();
+    EXPECT_EQ(restored.stats().broadcasts, 4u);
+    EXPECT_EQ(restored.traffic().total(), 4u);
+}
+
+using BusDeathTest = BusTest;
+
+TEST_F(BusDeathTest, SerializeWithQueuedRequestPanics)
+{
+    bus.broadcast(makeReq(0, RequestType::Read, 0x0000),
+                  [](auto &, Tick) {});
+    Serializer s;
+    EXPECT_DEATH(bus.serialize(s), "drained system");
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the discrete-event kernel: time ordering, same-tick priority
- * ordering, insertion-order determinism, and the run helpers.
+ * ordering, insertion-order determinism, the run helpers, and the
+ * drained-queue checkpoint round trip.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "event/event_queue.hpp"
+#include "snapshot/serializer.hpp"
 
 namespace cgct {
 namespace {
@@ -279,6 +281,113 @@ TEST(EventQueue, ZeroDelayScheduleInRunsAtSameTick)
     eq.run();
     EXPECT_TRUE(ran);
     EXPECT_EQ(eq.now(), 10u);
+}
+
+TEST(EventQueue, FarFutureEventRunsAtItsExactTick)
+{
+    EventQueue eq;
+    const Tick far = 5 * EventQueue::kWheelTicks + 17;
+    Tick seen = 0;
+    eq.schedule(far, [&] { seen = eq.now(); });
+    eq.run();
+    EXPECT_EQ(seen, far);
+    EXPECT_EQ(eq.now(), far);
+}
+
+TEST(EventQueue, PendingCountsWheelAndOverflowEvents)
+{
+    EventQueue eq;
+    eq.schedule(3, [] {});
+    eq.schedule(4, [] {});
+    eq.schedule(3 * EventQueue::kWheelTicks, [] {});
+    EXPECT_EQ(eq.pending(), 3u);
+    EXPECT_FALSE(eq.empty());
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.run();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, RunReturnsEventsExecutedIncludingChildren)
+{
+    EventQueue eq;
+    for (int i = 0; i < 4; ++i)
+        eq.schedule(i, [&eq] { eq.scheduleIn(2, [] {}); });
+    EXPECT_EQ(eq.run(), 8u);
+    EXPECT_EQ(eq.executed(), 8u);
+}
+
+TEST(EventQueue, ClearKeepsClockAndExecutedCount)
+{
+    EventQueue eq;
+    eq.schedule(40, [] {});
+    eq.schedule(90, [] {});
+    eq.runUntil(50);
+    ASSERT_EQ(eq.now(), 50u);
+    ASSERT_EQ(eq.executed(), 1u);
+    eq.clear();
+    EXPECT_EQ(eq.now(), 50u);
+    EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueue, SerializeRoundTripRestoresClockAndExecutedCount)
+{
+    EventQueue src;
+    src.schedule(7, [] {});
+    src.schedule(300, [] {});
+    src.schedule(2 * EventQueue::kWheelTicks + 1, [] {});
+    src.run();
+    Serializer s;
+    src.serialize(s);
+
+    EventQueue dst;
+    SectionReader r(s.buffer().data(), s.buffer().data() + s.size(), "eq");
+    dst.deserialize(r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(dst.now(), src.now());
+    EXPECT_EQ(dst.executed(), 3u);
+}
+
+TEST(EventQueue, RestoredQueueSchedulesRelativeToRestoredClock)
+{
+    EventQueue src;
+    src.schedule(5000, [] {});
+    src.run();
+    Serializer s;
+    src.serialize(s);
+
+    EventQueue dst;
+    SectionReader r(s.buffer().data(), s.buffer().data() + s.size(), "eq");
+    dst.deserialize(r);
+    std::vector<Tick> fired;
+    dst.scheduleIn(3, [&] { fired.push_back(dst.now()); });
+    dst.scheduleIn(EventQueue::kWheelTicks + 3,
+                   [&] { fired.push_back(dst.now()); });
+    dst.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{5003,
+                                        5003 + EventQueue::kWheelTicks}));
+    EXPECT_EQ(dst.executed(), 3u);
+}
+
+TEST(EventQueueDeath, SerializeWithPendingEventsPanics)
+{
+    EventQueue eq;
+    eq.schedule(10, [] {});
+    Serializer s;
+    EXPECT_DEATH(eq.serialize(s), "drained system");
+}
+
+TEST(EventQueueDeath, DeserializeIntoBusyQueuePanics)
+{
+    EventQueue drained;
+    Serializer s;
+    drained.serialize(s);
+
+    EventQueue busy;
+    busy.schedule(10, [] {});
+    SectionReader r(s.buffer().data(), s.buffer().data() + s.size(), "eq");
+    EXPECT_DEATH(busy.deserialize(r), "events pending");
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 #   1. Every option registered through ArgParser::addFlag/addU64/
 #      addDouble/addString must appear in docs/SWEEP.md as `--name`, and
 #      every positional registered through addPositional as `<name>`.
+#      Conversely, every flag-table row (| `--name ...` |) in
+#      docs/SWEEP.md must be registered by some tools/*.cpp, so a
+#      removed option cannot leave a stale row behind.
 #   2. docs/PERF.md must cover the perf bench targets and build knobs.
 #   3. Every trace event type in the CGCT_TRACE_EVENT_TYPES X-macro
 #      (src/common/trace_sink.hpp) must be documented in docs/TRACING.md.
@@ -26,13 +29,7 @@
 #      the CI math and its stat names, the validation/bench gates, and
 #      the "when not to trust" caveats, and be cross-linked from
 #      README.md, docs/SWEEP.md, and docs/ARCHITECTURE.md.
-#   9. docs/PDES.md must cover the shard-parallel execution mode: the
-#      --shards flag, the bounded-lag quantum/lookahead rule, lineage
-#      ordering, the deferred grant accounting, the engagement gates,
-#      the byte-identity contract, and the scaling bench + TSan preset,
-#      and be cross-linked from README.md, docs/SWEEP.md,
-#      docs/ARCHITECTURE.md, and docs/PERF.md.
-#  10. docs/TOPOLOGY.md must cover the scalable interconnects: the
+#   9. docs/TOPOLOGY.md must cover the scalable interconnects: the
 #      --nodes/--topology flags and all three topology names, the
 #      presence-filter escape rule and its trace events, the directory
 #      protocol, the invariant-checker extension, the fallback-warning
@@ -44,7 +41,9 @@
 #
 #   tools/check_docs.sh [repo-root]
 #
-# Wired into ctest as the `docs_check` test (see tests/CMakeLists.txt).
+# Wired into ctest as the `docs_check` test (see tests/CMakeLists.txt);
+# tools/check_docs_selftest.sh checks that guard 1 fails on injected
+# drift in both directions.
 
 set -u
 
@@ -57,12 +56,15 @@ if [ ! -f "$doc" ]; then
     exit 1
 fi
 
+all_flags=""
 for src in "$root"/tools/*.cpp; do
     tool="$(basename "$src" .cpp)"
 
     flags=$(grep -oE \
         'add(Flag|U64|Double|String)\("[A-Za-z0-9-]+"' "$src" |
         sed -E 's/.*\("([A-Za-z0-9-]+)"/\1/' | sort -u)
+    all_flags="$all_flags
+$flags"
     for flag in $flags; do
         if ! grep -q -- "--$flag" "$doc"; then
             echo "check_docs: $tool flag --$flag is not documented" \
@@ -80,6 +82,17 @@ for src in "$root"/tools/*.cpp; do
             fail=1
         fi
     done
+done
+
+# The reverse direction: a documented flag row must name a live option.
+doc_flags=$(grep -oE '^\| `--[A-Za-z0-9-]+' "$doc" |
+    sed -E 's/^\| `--//' | sort -u)
+for flag in $doc_flags; do
+    if ! printf '%s\n' "$all_flags" | grep -qxF -- "$flag"; then
+        echo "check_docs: docs/SWEEP.md documents --$flag, but no" \
+             "tools/*.cpp registers it" >&2
+        fail=1
+    fi
 done
 
 # Performance documentation: docs/PERF.md must exist and cover the perf
@@ -275,34 +288,6 @@ else
     done
 fi
 
-# Shard-parallel PDES documentation: docs/PDES.md is the design
-# contract for --shards. It must cover the partitioning, the
-# bounded-lag synchronization rule, the determinism machinery, the
-# engagement gates, and the CI gates that enforce the contract.
-pdes_doc="$root/docs/PDES.md"
-if [ ! -f "$pdes_doc" ]; then
-    echo "check_docs: $pdes_doc is missing" >&2
-    fail=1
-else
-    for token in --shards bounded-lag lookahead quantum lineage \
-                 snoopLatency settleGrants drawsIndependent postTask \
-                 BroadcastRecord pdesStopTick byte-identical \
-                 test_pdes bench_pdes_scaling BENCH_pdes.json \
-                 CGCT_BENCH_PDES_MIN_SPEEDUP sanitize-thread; do
-        if ! grep -q -- "$token" "$pdes_doc"; then
-            echo "check_docs: docs/PDES.md does not mention $token" >&2
-            fail=1
-        fi
-    done
-    for ref in README.md docs/SWEEP.md docs/ARCHITECTURE.md \
-               docs/PERF.md; do
-        if ! grep -q "PDES.md" "$root/$ref"; then
-            echo "check_docs: $ref does not link to docs/PDES.md" >&2
-            fail=1
-        fi
-    done
-fi
-
 # Scalable-interconnect documentation: docs/TOPOLOGY.md is the design
 # contract for --nodes/--topology. It must cover the three topologies,
 # the presence-filter escape rule, the directory protocol, the
@@ -338,10 +323,9 @@ fi
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED — update docs/SWEEP.md / docs/PERF.md /" \
          "docs/TRACING.md / docs/ARCHITECTURE.md / docs/SNAPSHOT.md /" \
-         "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/PDES.md /" \
-         "docs/TOPOLOGY.md" >&2
+         "docs/TRACE_FORMAT.md / docs/SAMPLING.md / docs/TOPOLOGY.md" >&2
     exit 1
 fi
 echo "check_docs: flags, perf targets, trace event and record types," \
-     "stat names, sampling methodology, PDES contract, and" \
+     "stat names, sampling methodology, topology contract, and" \
      "architecture cross-links are all documented"
