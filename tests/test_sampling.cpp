@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/sampling.hpp"
@@ -175,6 +177,84 @@ TEST(Sampling, WarmStateSatisfiesInvariants)
     const RunResult r = simulateSampled(config, benchmarkByName("tpc-w"),
                                         smallRun(), smallSampling());
     EXPECT_GT(r.requestsTotal, 0u);
+}
+
+/**
+ * Golden rows for functional warming: one sampled run per cell of a
+ * matrix that covers every functional-warming path — the flat bus with
+ * and without CGCT, the 16-node hierarchy and directory (presence and
+ * sharer maps), a chip-shared RCA, and region prefetch hints. The CGCT
+ * cells other than the first use a 512-entry RCA so region evictions
+ * (and their inclusion flushes) happen during warming. Each cell's full
+ * sweep-CSV row, CI columns included, must match
+ * tests/data/functional_warm_rows.csv byte for byte. On a mismatch the
+ * actual rows are written next to the test's temp files for inspection.
+ */
+TEST(Sampling, FunctionalWarmGoldenRows)
+{
+    struct Cell {
+        const char *name;
+        SystemConfig config;
+    };
+    const auto topo = [](unsigned nodes, TopologyKind kind) {
+        SystemConfig c = makeDefaultConfig().withCgct(512, 256, 2);
+        c.topology.numCpus = nodes;
+        c.interconnect.topology = kind;
+        return c;
+    };
+    std::vector<Cell> cells;
+    cells.push_back({"bus4-cgct512", makeDefaultConfig().withCgct(512)});
+    cells.push_back({"bus4-baseline", makeDefaultConfig()});
+    cells.push_back({"hier16", topo(16, TopologyKind::Hier)});
+    cells.push_back({"dir16", topo(16, TopologyKind::Dir)});
+    {
+        SystemConfig c = topo(4, TopologyKind::Bus);
+        c.cgct.sharedPerChip = true;
+        cells.push_back({"bus4-shared-rca", c});
+    }
+    {
+        SystemConfig c = topo(4, TopologyKind::Bus);
+        c.cgct.regionPrefetchHints = true;
+        cells.push_back({"bus4-prefetch-hints", c});
+    }
+
+    std::ostringstream actual;
+    writeSweepCsvHeader(actual, true, true);
+    for (Cell &cell : cells) {
+        cell.config.validate();
+        const RunResult r = simulateSampled(
+            cell.config, benchmarkByName("tpc-w"), smallRun(),
+            smallSampling());
+        writeSweepCsvRow(actual, r, true, true);
+    }
+
+    const std::string path =
+        std::string(CGCT_TESTS_DIR) + "/data/functional_warm_rows.csv";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot open " << path;
+    std::stringstream expected;
+    expected << in.rdbuf();
+
+    if (expected.str() != actual.str()) {
+        const std::string out =
+            ::testing::TempDir() + "functional_warm_rows.actual.csv";
+        std::ofstream(out) << actual.str();
+        ADD_FAILURE() << "functional-warming rows differ from " << path
+                      << "; actual rows written to " << out;
+    }
+    const auto lines = [](const std::string &text) {
+        std::vector<std::string> out;
+        std::istringstream is(text);
+        for (std::string line; std::getline(is, line);)
+            out.push_back(line);
+        return out;
+    };
+    const std::vector<std::string> exp_rows = lines(expected.str());
+    const std::vector<std::string> act_rows = lines(actual.str());
+    ASSERT_EQ(exp_rows.size(), act_rows.size());
+    for (std::size_t i = 0; i < act_rows.size(); ++i)
+        EXPECT_EQ(exp_rows[i], act_rows[i])
+            << (i == 0 ? "header" : cells[i - 1].name);
 }
 
 TEST(Sampling, AdaptiveGrowsWindowsToCap)
