@@ -13,8 +13,8 @@ DirectoryInterconnect::DirectoryInterconnect(
     DataNetwork &data_net, std::vector<MemoryController *> mem_ctrls,
     const TopologyParams &topo, std::uint64_t region_bytes)
     : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
-      topo_(topo), regionBytes_(region_bytes),
-      bankNextFree_(topo.numMemCtrls(), 0)
+      topo_(topo), bankNextFree_(topo.numMemCtrls(), 0),
+      presence_(topo, region_bytes)
 {
     if (topo_.numCpus > 64)
         panic("DirectoryInterconnect: sharer vectors are 64-bit; numCpus "
@@ -64,7 +64,7 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
         // needs no snoops at all (they are state-neutral on others).
         mask = 0;
     else
-        mask = sharerMask(req.lineAddr) | presenceOf(req.lineAddr);
+        mask = sharerMask(req.lineAddr) | presence_.maskOf(req.lineAddr);
     CGCT_TRACE(trace_, dirLookup(eq_.now(), req.cpu, req.type,
                                  req.lineAddr, mask));
 
@@ -72,7 +72,7 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
     // kept the request off the remote-snoop paths.
     std::uint64_t beyond = mask;
     if (static_cast<unsigned>(req.cpu) < topo_.numCpus) {
-        beyond &= ~chipMask(topo_.chipOfCpu(req.cpu));
+        beyond &= ~presence_.chipMask(topo_.chipOfCpu(req.cpu));
         beyond &= ~(1ULL << static_cast<unsigned>(req.cpu));
     }
     if (beyond != 0)
@@ -80,25 +80,12 @@ DirectoryInterconnect::lookup(const SystemRequest &req, ResponseFn fn)
     else
         ++stats_.localResolves;
 
-    // Pre-seed the requester's bits: the post-resolve hook (invariant
-    // checker) fires inside resolveRequest, after the response installed
-    // the line but before updateDirectory could run. The mask above is
-    // already computed, so the early bits change no snoop decision; an
-    // exclusive grant overwrites the vector right after anyway.
-    if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
-        req.type != RequestType::Writeback) {
-        sharers_[req.lineAddr] |= 1ULL << static_cast<unsigned>(req.cpu);
-        presence_[regionOf(req.lineAddr)] |=
-            chipMask(topo_.chipOfCpu(req.cpu));
-    }
-
-    const ResolveOutcome out = resolveRequest(req, fn, mask);
-    updateDirectory(req, out.getsExclusive);
+    resolveRequest(req, fn, mask);
 }
 
 void
-DirectoryInterconnect::updateDirectory(const SystemRequest &req,
-                                       bool gets_exclusive)
+DirectoryInterconnect::noteResolved(const SystemRequest &req,
+                                    bool gets_exclusive)
 {
     if (static_cast<unsigned>(req.cpu) >= topo_.numCpus) {
         // DMA write: every cached copy was invalidated by the snoop.
@@ -124,15 +111,7 @@ DirectoryInterconnect::updateDirectory(const SystemRequest &req,
     // Chip-granular, like the hierarchy's map: a sibling core sharing
     // the requester's chip RCA can direct-fill lines of this region
     // without a directory lookup of its own.
-    presence_[regionOf(req.lineAddr)] |=
-        chipMask(topo_.chipOfCpu(req.cpu));
-}
-
-void
-DirectoryInterconnect::warmNote(const SystemRequest &req,
-                                bool gets_exclusive)
-{
-    updateDirectory(req, gets_exclusive);
+    presence_.noteChip(req.cpu, req.lineAddr);
 }
 
 void
@@ -175,35 +154,6 @@ DirectoryInterconnect::addStats(StatGroup &group) const
                      });
 }
 
-namespace {
-
-void
-serializeSortedMap(Serializer &s,
-                   const std::unordered_map<Addr, std::uint64_t> &m)
-{
-    std::vector<std::pair<Addr, std::uint64_t>> entries(m.begin(), m.end());
-    std::sort(entries.begin(), entries.end());
-    s.u64(entries.size());
-    for (const auto &e : entries) {
-        s.u64(e.first);
-        s.u64(e.second);
-    }
-}
-
-void
-deserializeMap(SectionReader &r,
-               std::unordered_map<Addr, std::uint64_t> &m)
-{
-    m.clear();
-    const std::uint64_t entries = r.u64();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        const Addr key = r.u64();
-        m[key] = r.u64();
-    }
-}
-
-} // namespace
-
 void
 DirectoryInterconnect::serialize(Serializer &s) const
 {
@@ -218,7 +168,7 @@ DirectoryInterconnect::serialize(Serializer &s) const
     s.u64(stats_.interChip);
     traffic_.serialize(s);
     serializeSortedMap(s, sharers_);
-    serializeSortedMap(s, presence_);
+    presence_.serialize(s);
 }
 
 void
@@ -239,7 +189,7 @@ DirectoryInterconnect::deserialize(SectionReader &r)
     stats_.interChip = r.u64();
     traffic_.deserialize(r);
     deserializeMap(r, sharers_);
-    deserializeMap(r, presence_);
+    presence_.deserialize(r);
 }
 
 } // namespace cgct

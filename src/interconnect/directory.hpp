@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "interconnect/interconnect.hpp"
@@ -40,70 +39,50 @@ class DirectoryInterconnect : public Interconnect
 
     void broadcast(const SystemRequest &req, ResponseFn fn) override;
 
-    void warmNote(const SystemRequest &req, bool gets_exclusive) override;
-
     void addStats(StatGroup &group) const override;
 
     void serialize(Serializer &s) const override;
     void deserialize(SectionReader &r) override;
 
-    bool tracksPresence() const override { return true; }
-    std::uint64_t presenceMask(Addr line) const override
-    {
-        return presenceOf(line);
-    }
-    bool tracksSharers() const override { return true; }
-    std::uint64_t sharerMask(Addr line) const override
-    {
-        const auto it = sharers_.find(line);
-        return it == sharers_.end() ? 0 : it->second;
-    }
+    const RegionPresence *presence() const override { return &presence_; }
+    const AddrMaskMap *sharers() const override { return &sharers_; }
 
     /** Corrupt directory state (invariant-checker injection test). */
     void corruptSharersForTest(Addr line, std::uint64_t mask)
     {
         sharers_[line] = mask;
-        presence_[regionOf(line)] = mask;
+        presence_.setForTest(line, mask);
     }
+
+  protected:
+    /**
+     * Fold the resolved request into the sharer / presence maps. Runs
+     * before the response is delivered, so the post-resolve hook (the
+     * invariant checker) already sees the requester's bits.
+     */
+    void noteResolved(const SystemRequest &req,
+                      bool gets_exclusive) override;
 
   private:
     /** Directory-bank tag lookup: snoop the sharer set and update it. */
     void lookup(const SystemRequest &req, ResponseFn fn);
 
-    Addr regionOf(Addr line) const { return line & ~(regionBytes_ - 1); }
-
     std::uint64_t
-    presenceOf(Addr line) const
+    sharerMask(Addr line) const
     {
-        const auto it = presence_.find(regionOf(line));
-        return it == presence_.end() ? 0 : it->second;
+        const auto it = sharers_.find(line);
+        return it == sharers_.end() ? 0 : it->second;
     }
-
-    /** Mask of the processors on chip @p chip. */
-    std::uint64_t
-    chipMask(unsigned chip) const
-    {
-        const unsigned lo = chip * topo_.cpusPerChip;
-        std::uint64_t m = 0;
-        for (unsigned c = lo; c < lo + topo_.cpusPerChip &&
-                              c < topo_.numCpus; ++c)
-            m |= 1ULL << c;
-        return m;
-    }
-
-    /** Fold the resolved request into the sharer / presence maps. */
-    void updateDirectory(const SystemRequest &req, bool gets_exclusive);
 
     TopologyParams topo_;
-    std::uint64_t regionBytes_;
 
     /** FCFS arbitration cursor of each home directory bank. */
     std::vector<Tick> bankNextFree_;
 
     /** Line address -> full-map sharer vector. */
-    std::unordered_map<Addr, std::uint64_t> sharers_;
+    AddrMaskMap sharers_;
     /** Region address -> sticky presence mask (covers direct fills). */
-    std::unordered_map<Addr, std::uint64_t> presence_;
+    RegionPresence presence_;
 };
 
 } // namespace cgct

@@ -12,19 +12,13 @@ Interconnect::Interconnect(EventQueue &eq, const InterconnectParams &params,
 {
 }
 
-Interconnect::ResolveOutcome
-Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
-                             std::uint64_t snoop_mask)
+SnoopResponse
+Interconnect::combineSnoops(const SystemRequest &req,
+                            std::uint64_t snoop_mask, Tick now,
+                            bool &gets_exclusive)
 {
-    const Tick now = eq_.now();
-
-    // Let the oracle classify the broadcast against pre-snoop cache state.
-    if (observer_)
-        observer_(req);
-
     // Phase 1: conventional line snoop on every selected processor.
     SnoopResponse resp;
-    const SnoopKind kind = snoopKindOf(req.type);
     for (SnoopClient *client : clients_) {
         if (client->cpuId() == req.cpu)
             continue;
@@ -36,7 +30,7 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
     // What copy will the requester end up with? DCB flush/invalidate ops
     // count as exclusive for the region downgrade: no remote copy of the
     // line survives them.
-    const bool gets_exclusive =
+    gets_exclusive =
         wantsExclusive(req.type) || isDcbOp(req.type) ||
         ((req.type == RequestType::Read ||
           req.type == RequestType::Prefetch) && !resp.line.anyCopy);
@@ -50,16 +44,36 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
                 continue;
             if (!maskHas(snoop_mask, client->cpuId()))
                 continue;
-            resp.region.merge(client->snoopRegion(req, gets_exclusive));
+            resp.region.merge(
+                client->snoopRegion(req, gets_exclusive, now));
         }
     }
 
     // The snoop response identifies the owning memory controller; the
     // requester's RCA caches it for direct write-backs (Section 5.1).
     resp.memCtrl = map_.controllerOf(req.lineAddr);
+
+    noteResolved(req, gets_exclusive);
+    return resp;
+}
+
+void
+Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
+                             std::uint64_t snoop_mask)
+{
+    const Tick now = eq_.now();
+
+    // Let the oracle classify the broadcast against pre-snoop cache state.
+    if (observer_)
+        observer_(req);
+
+    bool gets_exclusive = false;
+    const SnoopResponse resp =
+        combineSnoops(req, snoop_mask, now, gets_exclusive);
     MemoryController *mc = memCtrls_[static_cast<unsigned>(resp.memCtrl)];
 
     Tick data_ready = now;
+    const SnoopKind kind = snoopKindOf(req.type);
     const bool needs_data = kind == SnoopKind::Read ||
                             kind == SnoopKind::ReadInvalidate;
     if (req.type == RequestType::Writeback) {
@@ -90,8 +104,6 @@ Interconnect::resolveRequest(const SystemRequest &req, ResponseFn &fn,
     // invariant checker cross-validate region state vs cache contents.
     if (postResolve_)
         postResolve_(req);
-
-    return ResolveOutcome{gets_exclusive, data_ready};
 }
 
 } // namespace cgct

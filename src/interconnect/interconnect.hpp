@@ -32,6 +32,7 @@
 #include "coherence/snoop.hpp"
 #include "event/event_queue.hpp"
 #include "interconnect/data_network.hpp"
+#include "interconnect/region_presence.hpp"
 #include "mem/address_map.hpp"
 #include "mem/memory_controller.hpp"
 
@@ -43,7 +44,8 @@ class TraceSink;
  * Interface every processor node exposes to the interconnect. Snoops are
  * applied in two phases at the resolution tick: first the conventional
  * line snoop (which mutates MOESI state), then the region snoop (which
- * reports the CGCT region bits and applies the Figure 5 downgrade).
+ * reports the CGCT region bits and applies the Figure 5 downgrade). The
+ * same two calls serve the timed resolution and the functional one.
  */
 class SnoopClient
 {
@@ -60,9 +62,11 @@ class SnoopClient
      * and apply the external-request downgrade.
      * @param requester_gets_exclusive whether the requester will end up
      *        with a modifiable (or silently-upgradable) copy of the line.
+     * @param now the resolution tick (the warm tick when functional).
      */
     virtual RegionSnoopBits
-    snoopRegion(const SystemRequest &req, bool requester_gets_exclusive) = 0;
+    snoopRegion(const SystemRequest &req, bool requester_gets_exclusive,
+                Tick now) = 0;
 };
 
 /** Base class of every interconnect topology (bus / hier / dir). */
@@ -121,15 +125,16 @@ class Interconnect
     virtual void broadcast(const SystemRequest &req, ResponseFn fn) = 0;
 
     /**
-     * Functional-warming mirror of broadcast (docs/SAMPLING.md): the node
-     * applied the snoop fan-out itself with no timing events, and reports
-     * the request here so topology-private tracking state (presence /
-     * sharer maps) stays in sync with the caches it summarizes.
+     * Functional resolution (docs/SAMPLING.md): snoop every other client
+     * and combine the responses at tick @p now, exactly as the timed
+     * ordering point does, but synchronously — no arbitration, observer,
+     * data movement, trace events or post-resolve hook. The requester
+     * applies the returned response itself.
      */
-    virtual void warmNote(const SystemRequest &req, bool gets_exclusive)
+    SnoopResponse resolveFunctional(const SystemRequest &req, Tick now)
     {
-        (void)req;
-        (void)gets_exclusive;
+        bool gets_exclusive = false;
+        return combineSnoops(req, kSnoopAll, now, gets_exclusive);
     }
 
     struct Stats {
@@ -158,7 +163,7 @@ class Interconnect
     }
 
     /** Requests resolved without leaving the requester's chip. */
-    virtual std::uint64_t localDomainResolves() const
+    std::uint64_t localDomainResolves() const
     {
         return stats_.localResolves;
     }
@@ -184,27 +189,24 @@ class Interconnect
      * Invariant-checker introspection (sim/invariants.hpp). A topology
      * that filters snoops by a conservative presence map exposes it here
      * so the checker can prove the map is a superset of the ground truth;
-     * the flat bus snoops everyone and reports all-ones.
+     * the flat bus snoops everyone and has none.
      */
-    virtual bool tracksPresence() const { return false; }
-    virtual std::uint64_t presenceMask(Addr line) const
-    {
-        (void)line;
-        return ~0ULL;
-    }
-    /** Directory sharer vector for @p line (directory topology only). */
-    virtual bool tracksSharers() const { return false; }
-    virtual std::uint64_t sharerMask(Addr line) const
-    {
-        (void)line;
-        return ~0ULL;
-    }
+    virtual const RegionPresence *presence() const { return nullptr; }
+    /** Full-map line sharer vectors (directory topology only). */
+    virtual const AddrMaskMap *sharers() const { return nullptr; }
 
   protected:
-    struct ResolveOutcome {
-        bool getsExclusive;
-        Tick dataReady;
-    };
+    /**
+     * Topology hook at the ordering point, after the snoops combined and
+     * before the requester sees the response: fold the request into the
+     * topology's private tracking state (presence / sharer maps). Runs
+     * for timed and functional resolutions alike.
+     */
+    virtual void noteResolved(const SystemRequest &req, bool gets_exclusive)
+    {
+        (void)req;
+        (void)gets_exclusive;
+    }
 
     /**
      * The shared ordering point: snoop every registered client selected
@@ -214,8 +216,8 @@ class Interconnect
      * the post-resolve hook. Identical to the original Bus resolution for
      * snoop_mask == kSnoopAll.
      */
-    ResolveOutcome resolveRequest(const SystemRequest &req, ResponseFn &fn,
-                                  std::uint64_t snoop_mask);
+    void resolveRequest(const SystemRequest &req, ResponseFn &fn,
+                        std::uint64_t snoop_mask);
 
     static bool
     maskHas(std::uint64_t mask, CpuId cpu)
@@ -238,6 +240,16 @@ class Interconnect
 
     Stats stats_;
     IntervalTracker traffic_{100000};
+
+  private:
+    /**
+     * The two-phase snoop of resolveRequest and resolveFunctional: line
+     * snoop on every selected client, the requester's grant, region snoop
+     * at @p now, the owning controller, then noteResolved().
+     */
+    SnoopResponse combineSnoops(const SystemRequest &req,
+                                std::uint64_t snoop_mask, Tick now,
+                                bool &gets_exclusive);
 };
 
 } // namespace cgct

@@ -14,8 +14,8 @@ HierRouter::HierRouter(EventQueue &eq, const InterconnectParams &params,
                        const TopologyParams &topo,
                        std::uint64_t region_bytes)
     : Interconnect(eq, params, map, data_net, std::move(mem_ctrls)),
-      topo_(topo), regionBytes_(region_bytes),
-      domainNextFree_(topo.numChips(), 0)
+      topo_(topo), domainNextFree_(topo.numChips(), 0),
+      presence_(topo, region_bytes)
 {
     if (topo_.numCpus > 64)
         panic("HierRouter: presence masks are 64-bit; numCpus must be "
@@ -66,8 +66,8 @@ void
 HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
 {
     const unsigned d = topo_.chipOfCpu(req.cpu);
-    const std::uint64_t local = chipMask(d);
-    const std::uint64_t remote = presenceOf(req.lineAddr) & ~local;
+    const std::uint64_t local = presence_.chipMask(d);
+    const std::uint64_t remote = presence_.maskOf(req.lineAddr) & ~local;
 
     // Write-backs never need remote snoops (they are state-neutral on
     // other processors), and a request whose region has no possible
@@ -78,7 +78,6 @@ HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
     // (it holds nothing to snoop).
     if (req.type == RequestType::Writeback || remote == 0) {
         ++stats_.localResolves;
-        notePresence(req);
         resolveRequest(req, fn, local);
         return;
     }
@@ -96,18 +95,19 @@ HierRouter::localStage(const SystemRequest &req, ResponseFn fn)
                      // Recompute presence at resolution: it can only have
                      // grown, and snooping more processors is safe.
                      const std::uint64_t mask =
-                         local | presenceOf(req.lineAddr);
-                     notePresence(req);
+                         local | presence_.maskOf(req.lineAddr);
                      resolveRequest(req, fn, mask);
                  },
                  EventPriority::Snoop);
 }
 
 void
-HierRouter::warmNote(const SystemRequest &req, bool gets_exclusive)
+HierRouter::noteResolved(const SystemRequest &req, bool gets_exclusive)
 {
     (void)gets_exclusive;
-    notePresence(req);
+    if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
+        req.type != RequestType::Writeback)
+        presence_.noteChip(req.cpu, req.lineAddr);
 }
 
 void
@@ -170,16 +170,7 @@ HierRouter::serialize(Serializer &s) const
     s.u64(stats_.localResolves);
     s.u64(stats_.interChip);
     traffic_.serialize(s);
-
-    // The presence map in deterministic (sorted) order.
-    std::vector<std::pair<Addr, std::uint64_t>> entries(presence_.begin(),
-                                                        presence_.end());
-    std::sort(entries.begin(), entries.end());
-    s.u64(entries.size());
-    for (const auto &e : entries) {
-        s.u64(e.first);
-        s.u64(e.second);
-    }
+    presence_.serialize(s);
 }
 
 void
@@ -199,13 +190,7 @@ HierRouter::deserialize(SectionReader &r)
     stats_.localResolves = r.u64();
     stats_.interChip = r.u64();
     traffic_.deserialize(r);
-
-    presence_.clear();
-    const std::uint64_t entries = r.u64();
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        const Addr region = r.u64();
-        presence_[region] = r.u64();
-    }
+    presence_.deserialize(r);
 }
 
 } // namespace cgct

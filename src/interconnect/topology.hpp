@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "interconnect/interconnect.hpp"
@@ -38,71 +37,34 @@ class HierRouter : public Interconnect
 
     void broadcast(const SystemRequest &req, ResponseFn fn) override;
 
-    void warmNote(const SystemRequest &req, bool gets_exclusive) override;
-
     void addStats(StatGroup &group) const override;
 
     void serialize(Serializer &s) const override;
     void deserialize(SectionReader &r) override;
 
-    bool tracksPresence() const override { return true; }
-    std::uint64_t presenceMask(Addr line) const override
-    {
-        return presenceOf(line);
-    }
+    const RegionPresence *presence() const override { return &presence_; }
 
     /** Corrupt the presence map (invariant-checker injection test). */
     void corruptPresenceForTest(Addr line, std::uint64_t mask)
     {
-        presence_[regionOf(line)] = mask;
+        presence_.setForTest(line, mask);
     }
+
+  protected:
+    /**
+     * Record that the requester's chip may now hold lines (or an RCA
+     * entry) in the request's region. Runs inside the resolve event,
+     * before the response installs any state, so a later mask
+     * computation at the same tick already sees the bits.
+     */
+    void noteResolved(const SystemRequest &req,
+                      bool gets_exclusive) override;
 
   private:
     /** Local-domain stage: resolve on-chip or escape to the bridge. */
     void localStage(const SystemRequest &req, ResponseFn fn);
 
-    Addr regionOf(Addr line) const { return line & ~(regionBytes_ - 1); }
-
-    std::uint64_t
-    presenceOf(Addr line) const
-    {
-        const auto it = presence_.find(regionOf(line));
-        return it == presence_.end() ? 0 : it->second;
-    }
-
-    /** Mask of the processors on chip @p chip. */
-    std::uint64_t
-    chipMask(unsigned chip) const
-    {
-        const unsigned lo = chip * topo_.cpusPerChip;
-        std::uint64_t m = 0;
-        for (unsigned c = lo; c < lo + topo_.cpusPerChip &&
-                              c < topo_.numCpus; ++c)
-            m |= 1ULL << c;
-        return m;
-    }
-
-    /**
-     * Record that @p req's requester's *chip* may now hold lines (or an
-     * RCA entry) in the request's region. Chip-granular, not
-     * CPU-granular: with a chip-shared RCA (Section 3.2) a sibling core
-     * can direct-fill lines through an entry this traversal created,
-     * without ever traversing the interconnect itself — so the whole
-     * chip must become snoopable at once. Called inside the resolve
-     * event, before the response installs any state, so a later mask
-     * computation at the same tick already sees the bits.
-     */
-    void
-    notePresence(const SystemRequest &req)
-    {
-        if (static_cast<unsigned>(req.cpu) < topo_.numCpus &&
-            req.type != RequestType::Writeback)
-            presence_[regionOf(req.lineAddr)] |=
-                chipMask(topo_.chipOfCpu(req.cpu));
-    }
-
     TopologyParams topo_;
-    std::uint64_t regionBytes_;
 
     /** FCFS arbitration cursor of each per-chip domain. */
     std::vector<Tick> domainNextFree_;
@@ -110,7 +72,7 @@ class HierRouter : public Interconnect
     Tick globalNextFree_ = 0;
 
     /** Region address -> mask of processors that may hold it. */
-    std::unordered_map<Addr, std::uint64_t> presence_;
+    RegionPresence presence_;
 };
 
 } // namespace cgct

@@ -51,12 +51,14 @@ InvariantChecker::InvariantChecker(const SystemConfig &config,
 std::string
 InvariantChecker::checkCoverage(Addr addr) const
 {
-    if (!interconnect_ || !interconnect_->tracksPresence())
+    const RegionPresence *presence =
+        interconnect_ ? interconnect_->presence() : nullptr;
+    if (!presence)
         return {};
 
     const std::uint64_t rbytes = config_.cgct.regionBytes;
     const Addr region = alignDown(addr, rbytes);
-    const bool dir = interconnect_->tracksSharers();
+    const AddrMaskMap *sharers = interconnect_->sharers();
 
     // F/G: every line the L2 arrays actually hold must be covered by
     // the topology's conservative tracking, per holder. numCpus <= 64
@@ -67,12 +69,12 @@ InvariantChecker::checkCoverage(Addr addr) const
             region, rbytes, [&](const CacheLine &line) {
                 if (!err.empty())
                     return;
-                const std::uint64_t pres =
-                    interconnect_->presenceMask(line.lineAddr);
+                const std::uint64_t pres = presence->maskOf(line.lineAddr);
                 const std::uint64_t bit = 1ULL << i;
-                if (dir) {
+                if (sharers) {
+                    const auto it = sharers->find(line.lineAddr);
                     const std::uint64_t cover =
-                        pres | interconnect_->sharerMask(line.lineAddr);
+                        pres | (it == sharers->end() ? 0 : it->second);
                     if (!(cover & bit))
                         err = "cpu" + std::to_string(i) + " holds line " +
                               hexAddr(line.lineAddr) +
@@ -94,7 +96,7 @@ InvariantChecker::checkCoverage(Addr addr) const
     for (const Group &g : groups_) {
         if (!g.ctrl->rca().peekEntry(region))
             continue;
-        const std::uint64_t pres = interconnect_->presenceMask(region);
+        const std::uint64_t pres = presence->maskOf(region);
         for (std::size_t i : g.nodeIdx) {
             if (!(pres & (1ULL << i)))
                 return "cpu" + std::to_string(i) +
@@ -198,7 +200,7 @@ std::string
 InvariantChecker::checkAll() const
 {
     const bool tracked =
-        interconnect_ && interconnect_->tracksPresence();
+        interconnect_ && interconnect_->presence() != nullptr;
     if (groups_.empty() && !tracked)
         return {};
 

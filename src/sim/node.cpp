@@ -113,6 +113,10 @@ Node::accessL2(CpuOpKind kind, Addr addr, Tick now, Tick &ready_out,
     if (kind == CpuOpKind::Ifetch || kind == CpuOpKind::Load ||
         kind == CpuOpKind::Store) {
         maybePrefetch(line_addr, is_store_like, was_miss, now);
+        // Functional prefetches resolved in place and may have filled
+        // or displaced the line.
+        if (functional_)
+            line = l2_.peekMutable(addr);
     }
 
     switch (kind) {
@@ -190,6 +194,12 @@ void
 Node::issueSystemRequest(RequestType type, Addr line_addr, Tick now,
                          Completion &&c, bool is_prefetch)
 {
+    if (functional_) {
+        // Resolved in place: no MSHR, and the completion runs at once.
+        dispatchSystemRequest(type, line_addr, now, is_prefetch);
+        runCompletion(c, now);
+        return;
+    }
     const bool needs_mshr = type != RequestType::Writeback;
     if (needs_mshr) {
         if (mshr_.contains(line_addr)) {
@@ -230,32 +240,33 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         }
     }
 
-    ++stats_.requestsTotal;
-    const auto cat = static_cast<std::size_t>(categoryOf(type));
+    const RouteDecision route = routeRequest(type, line_addr, now);
 
-    RouteDecision route;
-    if (tracker_)
-        route = tracker_->route(type, line_addr, now);
-    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
-                       route.state);
-
-    if (tracker_ && !drainingRegion_ && type != RequestType::Writeback &&
+    // This broadcast acquires the region; queue followers behind it. A
+    // functional acquisition resolves before any follower can arrive.
+    if (tracker_ && !functional_ && !drainingRegion_ &&
+        type != RequestType::Writeback &&
         route.kind == RouteKind::Broadcast &&
         tracker_->peekState(line_addr) == RegionState::Invalid) {
-        // This broadcast acquires the region; queue followers behind it.
         pendingRegionAcq_.insert(
             alignDown(line_addr, config_.cgct.regionBytes));
     }
 
     switch (route.kind) {
       case RouteKind::Broadcast: {
-        ++stats_.broadcasts;
-        ++stats_.broadcastsByCat[cat];
         SystemRequest req;
         req.cpu = cpu_;
         req.type = type;
         req.lineAddr = line_addr;
         req.isPrefetch = is_prefetch;
+        if (functional_) {
+            applyBroadcastResponse(type, line_addr,
+                                   bus_.resolveFunctional(req, now), now,
+                                   now);
+            if (checker_)
+                checker_->onTransition(line_addr, "functional_resolve");
+            break;
+        }
         // The bus orders requests at their issue tick; the core's local
         // clock may be ahead of global event time, so enter the bus then.
         const Tick when = std::max(now, eq_.now());
@@ -277,37 +288,58 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         break;
       }
 
-      case RouteKind::Direct: {
+      case RouteKind::Direct:
+        issueDirect(type, line_addr, route.memCtrl, now, is_prefetch);
+        break;
+
+      case RouteKind::LocalComplete:
+        completeLocally(type, line_addr, now);
+        break;
+    }
+}
+
+RouteDecision
+Node::routeRequest(RequestType type, Addr line_addr, Tick now)
+{
+    ++stats_.requestsTotal;
+    const auto cat = static_cast<std::size_t>(categoryOf(type));
+
+    RouteDecision route;
+    if (tracker_)
+        route = tracker_->route(type, line_addr, now);
+    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
+                       route.state);
+
+    switch (route.kind) {
+      case RouteKind::Broadcast:
+        ++stats_.broadcasts;
+        ++stats_.broadcastsByCat[cat];
+        break;
+
+      case RouteKind::Direct:
         ++stats_.directs;
         ++stats_.directsByCat[cat];
-        MemCtrlId mc = route.memCtrl;
-        if (mc == kInvalidMemCtrl) {
+        if (route.memCtrl == kInvalidMemCtrl) {
             // Trackers without a memory-controller index (RegionScout)
             // rely on the fabric to route the packet.
-            mc = map_.controllerOf(line_addr);
+            route.memCtrl = map_.controllerOf(line_addr);
         }
-        issueDirect(type, line_addr, mc, now, is_prefetch);
         break;
-      }
 
       case RouteKind::LocalComplete:
         ++stats_.localCompletes;
         ++stats_.localByCat[cat];
-        completeLocally(type, line_addr, now);
         break;
     }
+    return route;
 }
 
 void
 Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
                   bool is_prefetch)
 {
-    const Distance dist = map_.distanceToCtrl(cpu_, mc);
-    MemoryController *ctrl = memCtrls_[static_cast<unsigned>(mc)];
-    const Tick arrival = now + config_.interconnect.directLatency(dist);
-
     if (type == RequestType::Writeback) {
-        ctrl->acceptWriteback(arrival);
+        writebackDirect(mc, now);
         return;
     }
 
@@ -323,13 +355,21 @@ Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
                                 granted == LineState::Modified,
                             now);
 
-    const Tick from_mem = ctrl->accessDirect(arrival);
-    const Tick data_ready = dataNet_.deliver(cpu_, from_mem, dist,
-                                             config_.l2.lineBytes);
+    Tick data_ready = now;
+    if (!functional_) {
+        const Distance dist = map_.distanceToCtrl(cpu_, mc);
+        const Tick arrival = now + config_.interconnect.directLatency(dist);
+        const Tick from_mem =
+            memCtrls_[static_cast<unsigned>(mc)]->accessDirect(arrival);
+        data_ready = dataNet_.deliver(cpu_, from_mem, dist,
+                                      config_.l2.lineBytes);
+    }
 
     installL2Line(line_addr, granted, now, data_ready);
     if (checker_)
         checker_->onTransition(line_addr, "direct_issue");
+    if (functional_)
+        return;
 
     // Backdated dispatches (speculative fetches resolved by a region
     // acquisition) may complete logically in the past; deliver them now.
@@ -346,71 +386,31 @@ Node::issueDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now,
 }
 
 void
+Node::writebackDirect(MemCtrlId mc, Tick now)
+{
+    // Functional mode models no controller timing, so it claims no slot.
+    if (functional_)
+        return;
+    const Distance dist = map_.distanceToCtrl(cpu_, mc);
+    memCtrls_[static_cast<unsigned>(mc)]->acceptWriteback(
+        now + config_.interconnect.directLatency(dist));
+}
+
+void
 Node::completeLocally(RequestType type, Addr line_addr, Tick now)
 {
     tracker_->onLocalComplete(type, line_addr, now);
-    const Tick ready = now + l2_.latency();
-
-    switch (type) {
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            // The line was displaced between the store probe and now.
-            ++stats_.upgradeRaces;
-            installL2Line(line_addr, LineState::Modified, now, ready);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            installL2Line(line_addr, LineState::Modified, now, ready);
-        }
-        break;
-      }
-
-      case RequestType::Dcbf: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            const bool dirty = isDirty(line->state);
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-            if (dirty)
-                issueWriteback(line_addr, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbi: {
-        if (l2_.peek(line_addr)) {
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-        }
-        break;
-      }
-
-      default:
+    if (type != RequestType::Upgrade && type != RequestType::Dcbz &&
+        type != RequestType::Dcbf && type != RequestType::Dcbi)
         panic("cpu%d: request type %d cannot complete locally", cpu_,
               static_cast<int>(type));
-    }
 
+    const Tick ready = functional_ ? now : now + l2_.latency();
+    applyGrant(type, line_addr, LineState::Modified, now, ready);
     if (checker_)
         checker_->onTransition(line_addr, "local_complete");
+    if (functional_)
+        return;
 
     Completion c = grabMshrCtx(line_addr);
     releaseMshr(line_addr);
@@ -431,6 +431,25 @@ Node::handleBroadcastResponse(RequestType type, Addr line_addr,
                               const SnoopResponse &resp, Tick data_ready)
 {
     const Tick now = eq_.now();
+    applyBroadcastResponse(type, line_addr, resp, now, data_ready);
+
+    const bool needs_mshr = type != RequestType::Writeback;
+    if (data_ready > now) {
+        eq_.schedule(data_ready,
+                     [this, line_addr, needs_mshr, data_ready] {
+                         finishRequest(line_addr, needs_mshr, data_ready);
+                     },
+                     EventPriority::Data);
+    } else {
+        finishRequest(line_addr, needs_mshr, now);
+    }
+}
+
+void
+Node::applyBroadcastResponse(RequestType type, Addr line_addr,
+                             const SnoopResponse &resp, Tick now,
+                             Tick ready)
+{
     const LineState granted = grantedState(type, resp.line.anyCopy);
     const bool granted_exclusive = granted == LineState::Exclusive ||
                                    granted == LineState::Modified;
@@ -461,74 +480,63 @@ Node::handleBroadcastResponse(RequestType type, Addr line_addr,
         }
     }
 
+    applyGrant(type, line_addr, granted, now, ready);
+}
+
+void
+Node::applyGrant(RequestType type, Addr line_addr, LineState granted,
+                 Tick now, Tick ready)
+{
     switch (type) {
       case RequestType::Read:
       case RequestType::ReadExclusive:
       case RequestType::Ifetch:
       case RequestType::Prefetch:
       case RequestType::PrefetchExclusive:
-        installL2Line(line_addr, granted, now, data_ready);
+        installL2Line(line_addr, granted, now, ready);
         break;
 
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
+      case RequestType::Upgrade:
+      case RequestType::Dcbz:
+        if (CacheLine *line = l2_.peekMutable(line_addr)) {
             line->state = LineState::Modified;
             if (CacheLine *l1line = l1d_.peekMutable(line_addr))
                 l1line->state = LineState::Modified;
         } else {
-            // An earlier-ordered external request took the line away; the
-            // upgrade degenerates into a refetch. The data latency is
-            // approximated by the broadcast that already ran.
-            ++stats_.upgradeRaces;
-            installL2Line(line_addr, LineState::Modified, now, data_ready);
+            // An earlier-ordered external request (or a displacement)
+            // took the line away; an upgrade degenerates into a
+            // refetch, its data latency approximated by the request
+            // that already ran.
+            if (type == RequestType::Upgrade)
+                ++stats_.upgradeRaces;
+            installL2Line(line_addr, LineState::Modified, now, ready);
         }
         break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            installL2Line(line_addr, LineState::Modified, now, data_ready);
-        }
-        break;
-      }
 
       case RequestType::Dcbf:
-      case RequestType::Dcbi: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
+      case RequestType::Dcbi:
+        if (const CacheLine *line = l2_.peek(line_addr)) {
             const bool dirty = isDirty(line->state) &&
                                type == RequestType::Dcbf;
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
+            dropLine(line_addr);
             if (dirty)
                 issueWriteback(line_addr, now);
         }
         break;
-      }
 
       case RequestType::Writeback:
-        break; // The bus already sank the data into the controller.
+        break; // The interconnect already sank the data.
     }
+}
 
-    const bool needs_mshr = type != RequestType::Writeback;
-    if (data_ready > now) {
-        eq_.schedule(data_ready,
-                     [this, line_addr, needs_mshr, data_ready] {
-                         finishRequest(line_addr, needs_mshr, data_ready);
-                     },
-                     EventPriority::Data);
-    } else {
-        finishRequest(line_addr, needs_mshr, now);
-    }
+void
+Node::dropLine(Addr line_addr)
+{
+    l1d_.invalidateLine(line_addr);
+    l1i_.invalidateLine(line_addr);
+    l2_.invalidateLine(line_addr);
+    if (tracker_)
+        tracker_->onLineEvict(line_addr);
 }
 
 Node::Completion
@@ -705,8 +713,9 @@ Node::maybePrefetch(Addr line_addr, bool is_store, bool was_miss, Tick now)
     for (const PrefetchCandidate &c : prefetchScratch_) {
         if (l2_.peek(c.lineAddr) || mshr_.contains(c.lineAddr))
             continue;
-        // Keep headroom for demand misses.
-        if (mshr_.inFlight() + 2 >= mshr_.capacity())
+        // Keep MSHR headroom for demand misses (functional mode holds
+        // no MSHRs).
+        if (!functional_ && mshr_.inFlight() + 2 >= mshr_.capacity())
             break;
         if (tracker_ && config_.cgct.regionPrefetchHints) {
             // Section 6 extension: externally-dirty regions are poor
@@ -757,11 +766,12 @@ Node::releaseMshr(Addr line_addr)
 LineSnoopOutcome
 Node::snoopLine(const SystemRequest &req)
 {
-    // The external lookup occupies this node's L2 tag port.
-    ++stats_.snoopsReceived;
-    const Tick now = eq_.now();
-    l2TagBusy_ = std::max(l2TagBusy_, now) +
-                 config_.interconnect.snoopTagOccupancy;
+    if (!functional_) {
+        // The external lookup occupies this node's L2 tag port.
+        ++stats_.snoopsReceived;
+        l2TagBusy_ = std::max(l2TagBusy_, eq_.now()) +
+                     config_.interconnect.snoopTagOccupancy;
+    }
 
     const SnoopKind kind = snoopKindOf(req.type);
     CacheLine *line = l2_.peekMutable(req.lineAddr);
@@ -769,11 +779,7 @@ Node::snoopLine(const SystemRequest &req)
         applyLineSnoop(line ? line->state : LineState::Invalid, kind);
     if (line && out.next != out.before) {
         if (out.next == LineState::Invalid) {
-            l1d_.invalidateLine(req.lineAddr);
-            l1i_.invalidateLine(req.lineAddr);
-            l2_.invalidateLine(req.lineAddr);
-            if (tracker_)
-                tracker_->onLineEvict(req.lineAddr);
+            dropLine(req.lineAddr);
         } else {
             line->state = out.next;
             // The L1 keeps at most a shared copy after any snoop hit.
@@ -785,452 +791,13 @@ Node::snoopLine(const SystemRequest &req)
 }
 
 RegionSnoopBits
-Node::snoopRegion(const SystemRequest &req, bool requester_gets_exclusive)
+Node::snoopRegion(const SystemRequest &req, bool requester_gets_exclusive,
+                  Tick now)
 {
     if (!tracker_)
         return RegionSnoopBits{};
     // With one RCA per chip (Section 3.2), a sibling core's request is
     // not external to this tracker: it neither reports nor downgrades.
-    if (config_.cgct.sharedPerChip && req.cpu >= 0 &&
-        static_cast<unsigned>(req.cpu) < config_.topology.numCpus &&
-        config_.topology.chipOfCpu(req.cpu) ==
-            config_.topology.chipOfCpu(cpu_)) {
-        return RegionSnoopBits{};
-    }
-    return tracker_->externalSnoop(req.lineAddr, requester_gets_exclusive,
-                                   eq_.now());
-}
-
-// ---------------------------------------------------------------------------
-// Functional warming (docs/SAMPLING.md). Each warm* function is the
-// architectural mirror of its timing twin above: identical cache, MOESI
-// and region-tracker transitions, applied synchronously at the warm tick
-// with no events, no bus arbitration, no MSHR occupancy and no latency.
-// Keep the two in lockstep when changing either.
-
-void
-Node::warmAccess(CpuOpKind kind, Addr addr, Tick now)
-{
-    if (!warmPeers_)
-        panic("cpu%d: warmAccess without setWarmPeers", cpu_);
-
-    switch (kind) {
-      case CpuOpKind::Ifetch:
-        if (l1i_.probe(addr, now))
-            return;
-        warmL2Access(kind, addr, now);
-        return;
-
-      case CpuOpKind::Load:
-        if (l1d_.probe(addr, now))
-            return;
-        warmL2Access(kind, addr, now);
-        return;
-
-      case CpuOpKind::Store:
-        if (CacheLine *line = l1d_.probe(addr, now)) {
-            if (line->state == LineState::Modified)
-                return;
-            CacheLine *l2line = l2_.peekMutable(addr);
-            if (l2line && isWritable(l2line->state)) {
-                l2line->state = LineState::Modified;
-                line->state = LineState::Modified;
-                return;
-            }
-        }
-        warmL2Access(kind, addr, now);
-        return;
-
-      case CpuOpKind::Dcbz:
-      case CpuOpKind::Dcbf:
-      case CpuOpKind::Dcbi:
-        warmL2Access(kind, addr, now);
-        return;
-    }
-    panic("Node::warmAccess: unknown op kind");
-}
-
-void
-Node::warmL2Access(CpuOpKind kind, Addr addr, Tick now)
-{
-    const Addr line_addr = l2_.lineAlign(addr);
-    CacheLine *line = l2_.probe(addr, now);
-    const bool was_miss = line == nullptr;
-    const bool is_store_like = kind == CpuOpKind::Store;
-
-    if (kind == CpuOpKind::Ifetch || kind == CpuOpKind::Load ||
-        kind == CpuOpKind::Store) {
-        warmMaybePrefetch(line_addr, is_store_like, was_miss, now);
-        // The prefetcher may have filled (or displaced) the line.
-        line = l2_.probe(addr, now);
-    }
-
-    switch (kind) {
-      case CpuOpKind::Ifetch:
-      case CpuOpKind::Load:
-        if (line) {
-            fillL1(kind, addr, now, now);
-            return;
-        }
-        ++stats_.demandMisses;
-        warmRequest(kind == CpuOpKind::Ifetch ? RequestType::Ifetch
-                                              : RequestType::Read,
-                    line_addr, now, /*is_prefetch=*/false);
-        fillL1(kind, addr, now, now);
-        return;
-
-      case CpuOpKind::Store:
-        if (line) {
-            if (isWritable(line->state)) {
-                line->state = LineState::Modified;
-                fillL1(kind, addr, now, now);
-                return;
-            }
-            warmRequest(RequestType::Upgrade, line_addr, now,
-                        /*is_prefetch=*/false);
-            fillL1(kind, addr, now, now);
-            return;
-        }
-        ++stats_.demandMisses;
-        warmRequest(RequestType::ReadExclusive, line_addr, now,
-                    /*is_prefetch=*/false);
-        fillL1(kind, addr, now, now);
-        return;
-
-      case CpuOpKind::Dcbz:
-        if (line && isWritable(line->state)) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(addr))
-                l1line->state = LineState::Modified;
-            return;
-        }
-        warmRequest(RequestType::Dcbz, line_addr, now,
-                    /*is_prefetch=*/false);
-        return;
-
-      case CpuOpKind::Dcbf:
-        warmRequest(RequestType::Dcbf, line_addr, now,
-                    /*is_prefetch=*/false);
-        return;
-
-      case CpuOpKind::Dcbi:
-        warmRequest(RequestType::Dcbi, line_addr, now,
-                    /*is_prefetch=*/false);
-        return;
-    }
-    panic("Node::warmL2Access: unknown op kind");
-}
-
-void
-Node::warmRequest(RequestType type, Addr line_addr, Tick now,
-                  bool is_prefetch)
-{
-    ++stats_.requestsTotal;
-    const auto cat = static_cast<std::size_t>(categoryOf(type));
-
-    RouteDecision route;
-    if (tracker_)
-        route = tracker_->route(type, line_addr, now);
-
-    switch (route.kind) {
-      case RouteKind::Broadcast:
-        ++stats_.broadcasts;
-        ++stats_.broadcastsByCat[cat];
-        warmBroadcast(type, line_addr, now, is_prefetch);
-        break;
-
-      case RouteKind::Direct: {
-        ++stats_.directs;
-        ++stats_.directsByCat[cat];
-        MemCtrlId mc = route.memCtrl;
-        if (mc == kInvalidMemCtrl)
-            mc = map_.controllerOf(line_addr);
-        warmDirect(type, line_addr, mc, now);
-        break;
-      }
-
-      case RouteKind::LocalComplete:
-        ++stats_.localCompletes;
-        ++stats_.localByCat[cat];
-        warmLocalComplete(type, line_addr, now);
-        break;
-    }
-}
-
-void
-Node::warmBroadcast(RequestType type, Addr line_addr, Tick now,
-                    bool is_prefetch)
-{
-    SystemRequest req;
-    req.cpu = cpu_;
-    req.type = type;
-    req.lineAddr = line_addr;
-    req.isPrefetch = is_prefetch;
-
-    // Mirror of Bus::resolve, minus the oracle (measurement-only, reset
-    // at every window start), timing and data movement.
-    SnoopResponse resp;
-    for (Node *peer : *warmPeers_) {
-        if (peer->cpuId() == cpu_)
-            continue;
-        resp.line.fold(peer->cpuId(), peer->warmSnoopLine(req));
-    }
-
-    const bool gets_exclusive =
-        wantsExclusive(type) || isDcbOp(type) ||
-        ((type == RequestType::Read || type == RequestType::Prefetch) &&
-         !resp.line.anyCopy);
-
-    // Topology-private tracking state (presence / sharer maps) follows
-    // the warmed caches just as it would follow a timed resolution.
-    bus_.warmNote(req, gets_exclusive);
-
-    if (type != RequestType::Writeback) {
-        for (Node *peer : *warmPeers_) {
-            if (peer->cpuId() == cpu_)
-                continue;
-            resp.region.merge(
-                peer->warmSnoopRegion(req, gets_exclusive, now));
-        }
-    }
-    resp.memCtrl = map_.controllerOf(line_addr);
-
-    // Mirror of handleBroadcastResponse: requester-side state changes.
-    const LineState granted = grantedState(type, resp.line.anyCopy);
-    const bool granted_exclusive = granted == LineState::Exclusive ||
-                                   granted == LineState::Modified;
-    if (tracker_)
-        tracker_->onBroadcastResponse(type, line_addr, granted_exclusive,
-                                      resp, now);
-
-    switch (type) {
-      case RequestType::Read:
-      case RequestType::ReadExclusive:
-      case RequestType::Ifetch:
-      case RequestType::Prefetch:
-      case RequestType::PrefetchExclusive:
-        warmInstallL2Line(line_addr, granted, now);
-        break;
-
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            ++stats_.upgradeRaces;
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbf:
-      case RequestType::Dcbi: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            const bool dirty = isDirty(line->state) &&
-                               type == RequestType::Dcbf;
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-            if (dirty)
-                warmWriteback(line_addr, now);
-        }
-        break;
-      }
-
-      case RequestType::Writeback:
-        break;
-    }
-
-    if (checker_)
-        checker_->onTransition(line_addr, "warm_broadcast");
-}
-
-void
-Node::warmDirect(RequestType type, Addr line_addr, MemCtrlId mc, Tick now)
-{
-    (void)mc; // Data movement and controller timing are skipped.
-    if (type == RequestType::Writeback)
-        return;
-
-    const RegionState region_state =
-        tracker_ ? tracker_->peekState(line_addr) : RegionState::Invalid;
-    const bool region_exclusive = isRegionExclusive(region_state);
-    const LineState granted =
-        grantedState(type, /*other_had_copy=*/!region_exclusive);
-
-    tracker_->onDirectIssue(type, line_addr,
-                            granted == LineState::Exclusive ||
-                                granted == LineState::Modified,
-                            now);
-    warmInstallL2Line(line_addr, granted, now);
-    if (checker_)
-        checker_->onTransition(line_addr, "warm_direct");
-}
-
-void
-Node::warmLocalComplete(RequestType type, Addr line_addr, Tick now)
-{
-    tracker_->onLocalComplete(type, line_addr, now);
-
-    switch (type) {
-      case RequestType::Upgrade: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            ++stats_.upgradeRaces;
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbz: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            line->state = LineState::Modified;
-            if (CacheLine *l1line = l1d_.peekMutable(line_addr))
-                l1line->state = LineState::Modified;
-        } else {
-            warmInstallL2Line(line_addr, LineState::Modified, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbf: {
-        CacheLine *line = l2_.peekMutable(line_addr);
-        if (line) {
-            const bool dirty = isDirty(line->state);
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-            if (dirty)
-                warmWriteback(line_addr, now);
-        }
-        break;
-      }
-
-      case RequestType::Dcbi: {
-        if (l2_.peek(line_addr)) {
-            l1d_.invalidateLine(line_addr);
-            l1i_.invalidateLine(line_addr);
-            l2_.invalidateLine(line_addr);
-            if (tracker_)
-                tracker_->onLineEvict(line_addr);
-        }
-        break;
-      }
-
-      default:
-        panic("cpu%d: request type %d cannot complete locally", cpu_,
-              static_cast<int>(type));
-    }
-
-    if (checker_)
-        checker_->onTransition(line_addr, "warm_local_complete");
-}
-
-void
-Node::warmInstallL2Line(Addr line_addr, LineState state, Tick now)
-{
-    Eviction evicted;
-    l2_.fill(line_addr, state, now, now, evicted);
-    if (evicted.valid)
-        warmEvictL2Line(evicted.lineAddr, evicted.state, now);
-    if (tracker_)
-        tracker_->onLineFill(line_addr);
-}
-
-void
-Node::warmEvictL2Line(Addr line_addr, LineState state, Tick now)
-{
-    l1d_.invalidateLine(line_addr);
-    l1i_.invalidateLine(line_addr);
-    if (tracker_)
-        tracker_->onLineEvict(line_addr);
-    if (isDirty(state))
-        warmWriteback(line_addr, now);
-}
-
-void
-Node::warmWriteback(Addr line_addr, Tick now)
-{
-    ++stats_.writebacksIssued;
-    warmRequest(RequestType::Writeback, line_addr, now,
-                /*is_prefetch=*/false);
-}
-
-void
-Node::warmMaybePrefetch(Addr line_addr, bool is_store, bool was_miss,
-                        Tick now)
-{
-    prefetchScratch_.clear();
-    prefetcher_.observe(line_addr, is_store, was_miss, prefetchScratch_);
-    for (const PrefetchCandidate &c : prefetchScratch_) {
-        if (l2_.peek(c.lineAddr))
-            continue;
-        if (tracker_ && config_.cgct.regionPrefetchHints) {
-            if (isExternallyDirty(tracker_->peekState(c.lineAddr)))
-                continue;
-        }
-        ++stats_.prefetchesIssued;
-        warmRequest(c.exclusive ? RequestType::PrefetchExclusive
-                                : RequestType::Prefetch,
-                    c.lineAddr, now, /*is_prefetch=*/true);
-    }
-}
-
-LineSnoopOutcome
-Node::warmSnoopLine(const SystemRequest &req)
-{
-    // Same transitions as snoopLine, without the tag-port occupancy or
-    // the snoop statistics (the warm phase is not measured).
-    const SnoopKind kind = snoopKindOf(req.type);
-    CacheLine *line = l2_.peekMutable(req.lineAddr);
-    const LineSnoopOutcome out =
-        applyLineSnoop(line ? line->state : LineState::Invalid, kind);
-    if (line && out.next != out.before) {
-        if (out.next == LineState::Invalid) {
-            l1d_.invalidateLine(req.lineAddr);
-            l1i_.invalidateLine(req.lineAddr);
-            l2_.invalidateLine(req.lineAddr);
-            if (tracker_)
-                tracker_->onLineEvict(req.lineAddr);
-        } else {
-            line->state = out.next;
-            if (CacheLine *l1line = l1d_.peekMutable(req.lineAddr))
-                l1line->state = LineState::Shared;
-        }
-    }
-    return out;
-}
-
-RegionSnoopBits
-Node::warmSnoopRegion(const SystemRequest &req,
-                      bool requester_gets_exclusive, Tick now)
-{
-    if (!tracker_)
-        return RegionSnoopBits{};
     if (config_.cgct.sharedPerChip && req.cpu >= 0 &&
         static_cast<unsigned>(req.cpu) < config_.topology.numCpus &&
         config_.topology.chipOfCpu(req.cpu) ==

@@ -11,6 +11,14 @@
  * apply their state changes at issue, which is safe because the region
  * protocol guarantees no other processor holds a conflicting copy.
  *
+ * Every state transition is one architectural step (routeRequest,
+ * applyBroadcastResponse, applyGrant, issueDirect, completeLocally,
+ * installL2Line, evictL2Line, flushRegion, the snoops) shared by two
+ * drivers. The timed driver reaches a step through the MSHR file, the
+ * event queue and interconnect arbitration; functional mode
+ * (setFunctional, used by sampled runs' warming) reaches the same steps
+ * in place at the caller's tick with zero latency.
+ *
  * Request-path storage: a miss's completion context — the callback plus
  * what fillL1 needs — lives in a per-MSHR-slot Completion struct
  * (mshrCtx_) instead of being captured inside nested heap-allocated
@@ -83,30 +91,24 @@ class Node : public SnoopClient
     // SnoopClient interface (external requests arriving from the bus).
     CpuId cpuId() const override { return cpu_; }
     LineSnoopOutcome snoopLine(const SystemRequest &req) override;
+
     RegionSnoopBits snoopRegion(const SystemRequest &req,
-                                bool requester_gets_exclusive) override;
+                                bool requester_gets_exclusive,
+                                Tick now) override;
 
     /** Side-effect-free L2 state probe (oracle, tests). */
     LineState peekLine(Addr addr) const;
 
     /**
-     * Functional warming (docs/SAMPLING.md): perform one processor
-     * memory operation with full architectural effect — cache contents,
-     * MOESI states, region tracker, prefetcher — but zero timing: no
-     * events, no bus arbitration, no MSHR occupancy, no latency. Every
-     * request resolves synchronously at warm tick @p now; peer caches
-     * are snooped through the warm snoop path, which applies the same
-     * state transitions as a bus snoop without occupying tag ports.
-     * Requires setWarmPeers() first and a node with nothing in flight.
+     * Functional mode (docs/SAMPLING.md): access() keeps its full
+     * architectural effect — caches, MOESI, region tracker, prefetcher,
+     * topology maps — but every system request resolves in place at the
+     * access tick through Interconnect::resolveFunctional: no events, no
+     * arbitration, no MSHR occupancy, no latency, no memory-controller
+     * slots, and incoming snoops occupy no tag port. Switch only while
+     * nothing is in flight.
      */
-    void warmAccess(CpuOpKind kind, Addr addr, Tick now);
-
-    /** All nodes of the warm system (including this one), in CPU order.
-     *  Borrowed for the lifetime of the warming phase. */
-    void setWarmPeers(const std::vector<Node *> *peers)
-    {
-        warmPeers_ = peers;
-    }
+    void setFunctional(bool on) { functional_ = on; }
 
     /** Region tracker (nullptr in the baseline configuration). */
     RegionTracker *tracker() { return tracker_.get(); }
@@ -242,14 +244,38 @@ class Node : public SnoopClient
     void dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
                                bool is_prefetch);
 
+    /** Count a system request and ask the region tracker for its route
+     *  (a direct route always names its memory controller). */
+    RouteDecision routeRequest(RequestType type, Addr line_addr, Tick now);
+
     /** Handle a broadcast's snoop response (ordering-point event). */
     void handleBroadcastResponse(RequestType type, Addr line_addr,
                                  const SnoopResponse &resp,
                                  Tick data_ready);
 
+    /** Requester side of a resolved broadcast: region tracker, region
+     *  waiters, then the grant. */
+    void applyBroadcastResponse(RequestType type, Addr line_addr,
+                                const SnoopResponse &resp, Tick now,
+                                Tick ready);
+
+    /**
+     * Install the requester-side line state of a resolved request:
+     * fill with @p granted, upgrade to Modified, or flush/invalidate.
+     * Local completions use the Upgrade/Dcb* subset.
+     */
+    void applyGrant(RequestType type, Addr line_addr, LineState granted,
+                    Tick now, Tick ready);
+
+    /** Invalidate a line in every cache level and tell the tracker. */
+    void dropLine(Addr line_addr);
+
     /** Issue a direct-to-memory request (region permission held). */
     void issueDirect(RequestType type, Addr line_addr, MemCtrlId mc,
                      Tick now, bool is_prefetch);
+
+    /** A write-back sent straight to controller @p mc. */
+    void writebackDirect(MemCtrlId mc, Tick now);
 
     /** Complete a request locally with no external request. */
     void completeLocally(RequestType type, Addr line_addr, Tick now);
@@ -295,29 +321,6 @@ class Node : public SnoopClient
 
     /** Record a completed demand miss's latency. */
     void noteMissLatency(Tick issued, Tick ready);
-
-    // Functional-warming mirrors of the request path (docs/SAMPLING.md).
-    // Each applies exactly the architectural transitions of its timing
-    // twin, synchronously, with no events and no timing side effects.
-    void warmL2Access(CpuOpKind kind, Addr addr, Tick now);
-    void warmRequest(RequestType type, Addr line_addr, Tick now,
-                     bool is_prefetch);
-    void warmBroadcast(RequestType type, Addr line_addr, Tick now,
-                       bool is_prefetch);
-    void warmDirect(RequestType type, Addr line_addr, MemCtrlId mc,
-                    Tick now);
-    void warmLocalComplete(RequestType type, Addr line_addr, Tick now);
-    void warmInstallL2Line(Addr line_addr, LineState state, Tick now);
-    void warmEvictL2Line(Addr line_addr, LineState state, Tick now);
-    void warmWriteback(Addr line_addr, Tick now);
-    void warmMaybePrefetch(Addr line_addr, bool is_store, bool was_miss,
-                           Tick now);
-    /** Peer-side line snoop without the L2 tag-port occupancy. */
-    LineSnoopOutcome warmSnoopLine(const SystemRequest &req);
-    /** Peer-side region snoop at warm tick @p now. */
-    RegionSnoopBits warmSnoopRegion(const SystemRequest &req,
-                                    bool requester_gets_exclusive,
-                                    Tick now);
 
     CpuId cpu_;
     const SystemConfig &config_;
@@ -365,8 +368,8 @@ class Node : public SnoopClient
                                kMissLatencyBuckets};
     TraceSink *trace_ = nullptr;
     InvariantChecker *checker_ = nullptr;
-    /** Warm-phase peer nodes (null outside functional warming). */
-    const std::vector<Node *> *warmPeers_ = nullptr;
+    /** Resolve requests in place (see setFunctional). */
+    bool functional_ = false;
 };
 
 } // namespace cgct

@@ -62,8 +62,9 @@ makeWarmSnapshot(System &sys, const SyntheticWorkload &workload,
 }
 
 /**
- * Functional warming: one serial pass over the op streams. Each op is
- * applied architecturally (Node::warmAccess) at a shared monotonic warm
+ * Functional warming: one serial pass over the op streams with the
+ * System in functional mode, so each op drives the timed path's
+ * architectural steps in place (Node::access) at a shared monotonic warm
  * tick — one tick per op, so LRU order matches program order — and at
  * every window start the cores are advanced to the warm tick and the
  * quiescent system is snapshotted.
@@ -77,13 +78,7 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
-
-    std::vector<Node *> peers;
-    peers.reserve(n_cpus);
-    for (unsigned i = 0; i < n_cpus; ++i)
-        peers.push_back(&sys.node(i));
-    for (Node *n : peers)
-        n->setWarmPeers(&peers);
+    sys.setFunctional(true);
 
     Tick warm_tick = 0;
     std::vector<std::uint64_t> instr_delta(n_cpus, 0);
@@ -107,7 +102,9 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
                 ++warm_tick;
                 instr_delta[cpu] += op.gap + 1;
                 ++memop_delta[cpu];
-                sys.node(cpu).warmAccess(op.kind, op.addr, warm_tick);
+                Tick ready;
+                sys.node(cpu).access(op.kind, op.addr, warm_tick, ready,
+                                     Node::CompletionFn{});
             }
         }
         for (unsigned cpu = 0; cpu < n_cpus; ++cpu) {
@@ -118,9 +115,6 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
         }
         snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
     }
-
-    for (Node *n : peers)
-        n->setWarmPeers(nullptr);
     return snapshots;
 }
 

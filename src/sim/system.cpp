@@ -157,6 +157,13 @@ System::maxCoreClock() const
 }
 
 void
+System::setFunctional(bool on)
+{
+    for (auto &node : nodes_)
+        node->setFunctional(on);
+}
+
+void
 System::resetStats(Tick now)
 {
     for (auto &node : nodes_)

@@ -92,6 +92,12 @@ class System
     /** Cores blocked on a trace synchronization event (replay only). */
     unsigned coresWaitingOnSync() const;
 
+    /**
+     * Functional mode for every node (Node::setFunctional): accesses
+     * resolve in place with zero latency. Sampled runs warm this way.
+     */
+    void setFunctional(bool on);
+
     /** Reset all statistics at @p now (end of warmup). */
     void resetStats(Tick now);
 

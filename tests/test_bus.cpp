@@ -35,8 +35,9 @@ class FakeClient : public SnoopClient
     }
 
     RegionSnoopBits
-    snoopRegion(const SystemRequest &req, bool excl) override
+    snoopRegion(const SystemRequest &req, bool excl, Tick now) override
     {
+        static_cast<void>(now);
         ++regionSnoops;
         lastExclusive = excl;
         static_cast<void>(req);
