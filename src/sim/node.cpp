@@ -695,10 +695,7 @@ Node::flushRegion(Addr region_addr, std::uint64_t region_bytes,
             ++stats_.directs;
             ++stats_.directsByCat[static_cast<std::size_t>(
                 RequestCategory::Writeback)];
-            const Distance dist = map_.distanceToCtrl(cpu_, mc);
-            const Tick arrival =
-                now + config_.interconnect.directLatency(dist);
-            memCtrls_[static_cast<unsigned>(mc)]->acceptWriteback(arrival);
+            writebackDirect(mc, now);
         }
     }
     if (checker_)

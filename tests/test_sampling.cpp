@@ -15,9 +15,11 @@
 
 #include "sim/sampling.hpp"
 #include "sim/sweep.hpp"
+#include "sim/system.hpp"
 #include "snapshot/journal.hpp"
 #include "snapshot/serializer.hpp"
 #include "workload/benchmarks.hpp"
+#include "workload/generator.hpp"
 
 namespace cgct {
 namespace {
@@ -255,6 +257,49 @@ TEST(Sampling, FunctionalWarmGoldenRows)
     for (std::size_t i = 0; i < act_rows.size(); ++i)
         EXPECT_EQ(exp_rows[i], act_rows[i])
             << (i == 0 ? "header" : cells[i - 1].name);
+}
+
+TEST(Sampling, FunctionalWarmingClaimsNoControllerSlots)
+{
+    // A 512-entry RCA evicts regions throughout warming, and each
+    // eviction flushes the region's dirty lines straight to memory.
+    // Functional mode models no controller timing, so those write-backs
+    // (like every other functional write-back) must claim no slot: at
+    // warm tick t the event clock is still 0, and a claim there would
+    // leave a backlog for the first measurement window.
+    SystemConfig config = makeDefaultConfig().withCgct(512, 256, 2);
+    config.validate();
+    const unsigned n_cpus = config.topology.numCpus;
+    SyntheticWorkload workload(benchmarkByName("tpc-w"), n_cpus, 12000,
+                               7);
+    System sys(config, workload);
+    sys.setFunctional(true);
+
+    Tick tick = 0;
+    for (bool drew = true; drew;) {
+        drew = false;
+        for (unsigned cpu = 0; cpu < n_cpus; ++cpu) {
+            CpuOp op;
+            if (!workload.next(static_cast<CpuId>(cpu), op))
+                continue;
+            drew = true;
+            Tick ready;
+            sys.node(cpu).access(op.kind, op.addr, ++tick, ready,
+                                 Node::CompletionFn{});
+        }
+    }
+
+    std::uint64_t flushed_dirty = 0;
+    for (unsigned cpu = 0; cpu < n_cpus; ++cpu)
+        flushed_dirty += sys.node(cpu).stats().directsByCat[
+            static_cast<std::size_t>(RequestCategory::Writeback)];
+    EXPECT_GT(flushed_dirty, 0u) << "no dirty region flush was warmed";
+    for (unsigned i = 0; i < sys.numMemCtrls(); ++i) {
+        EXPECT_EQ(sys.memCtrl(i).stats().writebacks, 0u) << "memctrl" << i;
+        EXPECT_EQ(sys.memCtrl(i).stats().queuedCycles, 0u)
+            << "memctrl" << i;
+    }
+    EXPECT_TRUE(sys.eq().empty());
 }
 
 TEST(Sampling, AdaptiveGrowsWindowsToCap)
