@@ -240,7 +240,14 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         }
     }
 
-    const RouteDecision route = routeRequest(type, line_addr, now);
+    ++stats_.requestsTotal;
+    const auto cat = static_cast<std::size_t>(categoryOf(type));
+
+    RouteDecision route;
+    if (tracker_)
+        route = tracker_->route(type, line_addr, now);
+    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
+                       route.state);
 
     // This broadcast acquires the region; queue followers behind it. A
     // functional acquisition resolves before any follower can arrive.
@@ -254,6 +261,8 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
 
     switch (route.kind) {
       case RouteKind::Broadcast: {
+        ++stats_.broadcasts;
+        ++stats_.broadcastsByCat[cat];
         SystemRequest req;
         req.cpu = cpu_;
         req.type = type;
@@ -288,50 +297,25 @@ Node::dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
         break;
       }
 
-      case RouteKind::Direct:
-        issueDirect(type, line_addr, route.memCtrl, now, is_prefetch);
-        break;
-
-      case RouteKind::LocalComplete:
-        completeLocally(type, line_addr, now);
-        break;
-    }
-}
-
-RouteDecision
-Node::routeRequest(RequestType type, Addr line_addr, Tick now)
-{
-    ++stats_.requestsTotal;
-    const auto cat = static_cast<std::size_t>(categoryOf(type));
-
-    RouteDecision route;
-    if (tracker_)
-        route = tracker_->route(type, line_addr, now);
-    traceRouteDecision(trace_, now, cpu_, type, line_addr, route.kind,
-                       route.state);
-
-    switch (route.kind) {
-      case RouteKind::Broadcast:
-        ++stats_.broadcasts;
-        ++stats_.broadcastsByCat[cat];
-        break;
-
-      case RouteKind::Direct:
+      case RouteKind::Direct: {
         ++stats_.directs;
         ++stats_.directsByCat[cat];
-        if (route.memCtrl == kInvalidMemCtrl) {
+        MemCtrlId mc = route.memCtrl;
+        if (mc == kInvalidMemCtrl) {
             // Trackers without a memory-controller index (RegionScout)
             // rely on the fabric to route the packet.
-            route.memCtrl = map_.controllerOf(line_addr);
+            mc = map_.controllerOf(line_addr);
         }
+        issueDirect(type, line_addr, mc, now, is_prefetch);
         break;
+      }
 
       case RouteKind::LocalComplete:
         ++stats_.localCompletes;
         ++stats_.localByCat[cat];
+        completeLocally(type, line_addr, now);
         break;
     }
-    return route;
 }
 
 void
@@ -525,7 +509,7 @@ Node::applyGrant(RequestType type, Addr line_addr, LineState granted,
         break;
 
       case RequestType::Writeback:
-        break; // The interconnect already sank the data.
+        break; // Nothing changes on the requester side.
     }
 }
 

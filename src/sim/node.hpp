@@ -11,7 +11,7 @@
  * apply their state changes at issue, which is safe because the region
  * protocol guarantees no other processor holds a conflicting copy.
  *
- * Every state transition is one architectural step (routeRequest,
+ * Every state transition is one architectural step (dispatch routing,
  * applyBroadcastResponse, applyGrant, issueDirect, completeLocally,
  * installL2Line, evictL2Line, flushRegion, the snoops) shared by two
  * drivers. The timed driver reaches a step through the MSHR file, the
@@ -243,10 +243,6 @@ class Node : public SnoopClient
     /** The request, with an MSHR (if needed) already claimed. */
     void dispatchSystemRequest(RequestType type, Addr line_addr, Tick now,
                                bool is_prefetch);
-
-    /** Count a system request and ask the region tracker for its route
-     *  (a direct route always names its memory controller). */
-    RouteDecision routeRequest(RequestType type, Addr line_addr, Tick now);
 
     /** Handle a broadcast's snoop response (ordering-point event). */
     void handleBroadcastResponse(RequestType type, Addr line_addr,
