@@ -36,8 +36,6 @@ class RegionPresence
     {
     }
 
-    Addr regionOf(Addr line) const { return line & ~(regionBytes_ - 1); }
-
     /** Processors that may hold lines of @p line's region. */
     std::uint64_t
     maskOf(Addr line) const
@@ -81,6 +79,8 @@ class RegionPresence
     void deserialize(SectionReader &r) { deserializeMap(r, map_); }
 
   private:
+    Addr regionOf(Addr line) const { return line & ~(regionBytes_ - 1); }
+
     TopologyParams topo_;
     std::uint64_t regionBytes_;
     AddrMaskMap map_;

@@ -91,7 +91,6 @@ class Node : public SnoopClient
     // SnoopClient interface (external requests arriving from the bus).
     CpuId cpuId() const override { return cpu_; }
     LineSnoopOutcome snoopLine(const SystemRequest &req) override;
-
     RegionSnoopBits snoopRegion(const SystemRequest &req,
                                 bool requester_gets_exclusive,
                                 Tick now) override;
