@@ -89,15 +89,19 @@ Rng::chance(double p)
     return nextDouble() < p;
 }
 
-std::uint64_t
-Rng::nextGeometric(double p)
+Geometric::Geometric(double p)
+    : alwaysOne_(p >= 1.0),
+      log1mP_(alwaysOne_ ? 0.0 : std::log1p(-(p <= 0.0 ? 1e-9 : p)))
 {
-    if (p >= 1.0)
+}
+
+std::uint64_t
+Rng::nextGeometric(const Geometric &g)
+{
+    if (g.alwaysOne_)
         return 1;
-    if (p <= 0.0)
-        p = 1e-9;
     const double u = 1.0 - nextDouble(); // in (0, 1]
-    const double k = std::ceil(std::log(u) / std::log1p(-p));
+    const double k = std::ceil(std::log(u) / g.log1mP_);
     return k < 1.0 ? 1 : static_cast<std::uint64_t>(k);
 }
 

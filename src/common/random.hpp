@@ -17,6 +17,23 @@ namespace cgct {
 class Serializer;
 class SectionReader;
 
+/**
+ * The success probability of a geometric draw, with log1p(-p) computed
+ * once: build it where p is fixed (a profile constant, the DMA rate),
+ * draw with Rng::nextGeometric per op. p >= 1 always draws 1 without
+ * consuming the stream; p <= 0 is clamped to 1e-9.
+ */
+class Geometric
+{
+  public:
+    explicit Geometric(double p);
+
+  private:
+    friend class Rng;
+    bool alwaysOne_;
+    double log1mP_; ///< log1p(-p); unused when alwaysOne_.
+};
+
 /** xoshiro256** PRNG with SplitMix64 seeding. */
 class Rng
 {
@@ -41,9 +58,9 @@ class Rng
 
     /**
      * Geometric-ish run length: returns k >= 1 with P(k) ∝ (1-p)^(k-1) p.
-     * Used for sequential-run lengths in the workload generator.
+     * Used for run lengths and gaps in the workload generator.
      */
-    std::uint64_t nextGeometric(double p);
+    std::uint64_t nextGeometric(const Geometric &g);
 
     /**
      * Approximately Zipf-distributed index in [0, n) with exponent @p s,

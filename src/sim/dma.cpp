@@ -7,7 +7,8 @@ namespace cgct {
 DmaEngine::DmaEngine(EventQueue &eq, Interconnect &bus, const DmaParams &params,
                      const TopologyParams &topo, std::uint64_t seed)
     : eq_(eq), bus_(bus), params_(params), id_(dmaRequesterId(topo)),
-      rng_(seed ^ 0xD1A5ULL)
+      rng_(seed ^ 0xD1A5ULL),
+      interval_(1.0 / static_cast<double>(params.meanInterval))
 {
 }
 
@@ -24,9 +25,7 @@ DmaEngine::scheduleNext()
 {
     // Exponential-ish spacing around the mean keeps transfers from
     // beating against workload phases.
-    const Tick delay = rng_.nextGeometric(1.0 /
-                                          static_cast<double>(
-                                              params_.meanInterval));
+    const Tick delay = rng_.nextGeometric(interval_);
     eq_.scheduleIn(delay, [this] {
         if (stopped_ || (keepRunning_ && !keepRunning_()))
             return;

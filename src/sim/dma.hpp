@@ -77,6 +77,7 @@ class DmaEngine
     DmaParams params_;
     CpuId id_;
     Rng rng_;
+    Geometric interval_; ///< Spacing between transfers (1 / meanInterval).
     bool stopped_ = false;
     std::function<bool()> keepRunning_;
     Stats stats_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <functional>
 #include <future>
 #include <vector>
 
@@ -48,18 +50,29 @@ windowStarts(std::uint64_t warmup, std::uint64_t span, std::uint64_t k)
     return starts;
 }
 
-/** Serialize the quiescent warm system + workload into CGCTSNAP bytes. */
+/**
+ * Serialize the quiescent warm system + workload into CGCTSNAP bytes.
+ * @p last_bytes carries the previous image's size between calls: a run's
+ * images are all about that size, so one allocation (with 1/8 slack,
+ * never touched if unused) replaces growth by doubling.
+ */
 std::vector<std::uint8_t>
 makeWarmSnapshot(System &sys, const SyntheticWorkload &workload,
-                 std::uint64_t fingerprint)
+                 std::uint64_t fingerprint, std::size_t &last_bytes)
 {
     Serializer s;
+    s.reserve(last_bytes + last_bytes / 8);
+    beginSnapshotFile(s, fingerprint);
     s.beginSection("workload");
     workload.serialize(s);
     s.endSection();
     sys.serializeState(s);
-    return makeSnapshotFile(fingerprint, s);
+    last_bytes = s.size();
+    return s.take();
 }
+
+/** Takes each warm snapshot the moment it exists, in window order. */
+using SnapshotSink = std::function<void(std::vector<std::uint8_t>)>;
 
 /**
  * Functional warming: one serial pass over the op streams with the
@@ -67,13 +80,13 @@ makeWarmSnapshot(System &sys, const SyntheticWorkload &workload,
  * architectural steps in place (Node::access) at a shared monotonic warm
  * tick — one tick per op, so LRU order matches program order — and at
  * every window start the cores are advanced to the warm tick and the
- * quiescent system is snapshotted.
+ * quiescent system is snapshotted into @p sink.
  */
-std::vector<std::vector<std::uint8_t>>
+void
 warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
                const RunOptions &opts,
                const std::vector<std::uint64_t> &starts,
-               std::uint64_t fingerprint)
+               std::uint64_t fingerprint, const SnapshotSink &sink)
 {
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
@@ -83,9 +96,7 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
     Tick warm_tick = 0;
     std::vector<std::uint64_t> instr_delta(n_cpus, 0);
     std::vector<std::uint64_t> memop_delta(n_cpus, 0);
-
-    std::vector<std::vector<std::uint8_t>> snapshots;
-    snapshots.reserve(starts.size());
+    std::size_t image_bytes = 0;
 
     for (std::uint64_t target : starts) {
         workload.setPauseAt(target);
@@ -113,28 +124,25 @@ warmFunctional(const SystemConfig &config, const WorkloadProfile &profile,
             instr_delta[cpu] = 0;
             memop_delta[cpu] = 0;
         }
-        snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
+        sink(makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
     }
-    return snapshots;
 }
 
 /**
  * Detailed warming: the simulateCheckpointed drain loop with the pause
- * schedule at the window starts, snapshotting to memory instead of disk.
- * The reference mode: no speedup, but the warm state is exact.
+ * schedule at the window starts, snapshotting into @p sink instead of to
+ * disk. The reference mode: no speedup, but the warm state is exact.
  */
-std::vector<std::vector<std::uint8_t>>
+void
 warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
              const RunOptions &opts,
              const std::vector<std::uint64_t> &starts,
-             std::uint64_t fingerprint)
+             std::uint64_t fingerprint, const SnapshotSink &sink)
 {
     const unsigned n_cpus = config.topology.numCpus;
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
-
-    std::vector<std::vector<std::uint8_t>> snapshots;
-    snapshots.reserve(starts.size());
+    std::size_t image_bytes = 0;
 
     bool first = true;
     for (std::uint64_t target : starts) {
@@ -154,15 +162,17 @@ warmDetailed(const SystemConfig &config, const WorkloadProfile &profile,
             panic("simulateSampled: event queue drained before cores "
                   "reached the window start");
 
-        snapshots.push_back(makeWarmSnapshot(sys, workload, fingerprint));
+        sink(makeWarmSnapshot(sys, workload, fingerprint, image_bytes));
     }
-    return snapshots;
 }
 
-/** Restore one window's snapshot and run windowOps per CPU in detail. */
+/**
+ * Restore one window's snapshot and run windowOps per CPU in detail.
+ * The image is freed as soon as the System is restored from it.
+ */
 RunResult
 runWindow(const SystemConfig &config, const WorkloadProfile &profile,
-          const RunOptions &opts, const std::vector<std::uint8_t> &bytes,
+          const RunOptions &opts, std::vector<std::uint8_t> bytes,
           std::uint64_t fingerprint, std::uint64_t window_index,
           std::uint64_t window_end)
 {
@@ -170,20 +180,20 @@ runWindow(const SystemConfig &config, const WorkloadProfile &profile,
     SyntheticWorkload workload(profile, n_cpus, opts.opsPerCpu, opts.seed);
     System sys(config, workload);
 
-    Deserializer d;
-    const std::string label =
-        "window " + std::to_string(window_index) + " snapshot";
-    const std::string err = d.openBytes(bytes, label);
-    if (!err.empty())
-        fatal("simulateSampled: %s", err.c_str());
-    if (d.fingerprint() != fingerprint)
-        panic("simulateSampled: warm snapshot fingerprint mismatch");
-
     {
+        Deserializer d;
+        const std::string label =
+            "window " + std::to_string(window_index) + " snapshot";
+        const std::string err = d.openBytes(std::move(bytes), label);
+        if (!err.empty())
+            fatal("simulateSampled: %s", err.c_str());
+        if (d.fingerprint() != fingerprint)
+            panic("simulateSampled: warm snapshot fingerprint mismatch");
+
         SectionReader w = d.section("workload");
         workload.deserialize(w);
+        sys.restoreState(d);
     }
-    sys.restoreState(d);
 
     // The window measures only its own ops: reset everything and record
     // per-core retire baselines (instruction counters are cumulative).
@@ -251,32 +261,50 @@ sampledAtK(const SystemConfig &config, const WorkloadProfile &profile,
     const std::vector<std::uint64_t> starts =
         windowStarts(opts.warmupOps, span, k);
 
-    std::vector<std::vector<std::uint8_t>> snapshots =
-        sopts.warmMode == WarmMode::Functional
-            ? warmFunctional(config, profile, opts, starts, fingerprint)
-            : warmDetailed(config, profile, opts, starts, fingerprint);
-
-    // Measurement windows: embarrassingly parallel, each owning a
-    // private System restored from its snapshot. Results land in window
-    // order, so aggregation is identical at any job count.
+    // Measurement windows: each owns a private System restored from its
+    // snapshot, and each snapshot goes to its window the moment the warm
+    // pass takes it, so the live images are bounded by the job count, not
+    // by k. Results land in window order, so aggregation is identical at
+    // any job count.
     std::vector<RunResult> windows(static_cast<std::size_t>(k));
+    std::uint64_t taken = 0; // snapshots handed to windows so far
+    auto window = [&](std::uint64_t i, std::vector<std::uint8_t> bytes) {
+        return runWindow(config, profile, opts, std::move(bytes),
+                         fingerprint, i, starts[i] + w);
+    };
+    const auto warm = sopts.warmMode == WarmMode::Functional
+                          ? &warmFunctional
+                          : &warmDetailed;
     if (sopts.jobs == 1 || k == 1) {
-        for (std::uint64_t i = 0; i < k; ++i)
-            windows[static_cast<std::size_t>(i)] =
-                runWindow(config, profile, opts, snapshots[i], fingerprint,
-                          i, starts[i] + w);
+        warm(config, profile, opts, starts, fingerprint,
+             [&](std::vector<std::uint8_t> bytes) {
+                 windows[taken] = window(taken, std::move(bytes));
+                 ++taken;
+             });
     } else {
+        // Pipelined: windows run on the pool while warming continues.
+        // Once every worker has a window in flight, the warm pass waits
+        // for the oldest before handing out the next snapshot.
         ThreadPool pool(sopts.jobs);
-        std::vector<std::future<RunResult>> futures;
-        futures.reserve(static_cast<std::size_t>(k));
-        for (std::uint64_t i = 0; i < k; ++i) {
-            futures.push_back(pool.submit([&, i] {
-                return runWindow(config, profile, opts, snapshots[i],
-                                 fingerprint, i, starts[i] + w);
-            }));
-        }
-        for (std::uint64_t i = 0; i < k; ++i)
-            windows[static_cast<std::size_t>(i)] = futures[i].get();
+        std::deque<std::future<RunResult>> in_flight;
+        std::uint64_t landed = 0;
+        auto landOldest = [&] {
+            windows[landed++] = in_flight.front().get();
+            in_flight.pop_front();
+        };
+        warm(config, profile, opts, starts, fingerprint,
+             [&](std::vector<std::uint8_t> bytes) {
+                 if (in_flight.size() >= pool.size())
+                     landOldest();
+                 in_flight.push_back(pool.submit(
+                     [&window, i = taken,
+                      bytes = std::move(bytes)]() mutable {
+                         return window(i, std::move(bytes));
+                     }));
+                 ++taken;
+             });
+        while (!in_flight.empty())
+            landOldest();
     }
 
     // Aggregate: counts scale up by span / (K * w); ratio and latency

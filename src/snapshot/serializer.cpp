@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -219,13 +220,6 @@ Xxh64Stream::digest() const
 // Serializer
 
 void
-Serializer::le(std::uint64_t v, int n)
-{
-    for (int i = 0; i < n; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
 Serializer::f64(double v)
 {
     std::uint64_t bits;
@@ -268,13 +262,19 @@ Serializer::endSection()
     if (!inSection_)
         panic("Serializer: endSection() without beginSection()");
     inSection_ = false;
-    std::uint64_t payload_len = buf_.size() - payloadStart_;
-    for (int i = 0; i < 8; ++i)
-        buf_[lenFieldAt_ + i] =
-            static_cast<std::uint8_t>(payload_len >> (8 * i));
+    const std::uint64_t payload_len = buf_.size() - payloadStart_;
+    std::memcpy(buf_.data() + lenFieldAt_, &payload_len, 8);
     std::uint64_t hash = xxhash64(buf_.data() + payloadStart_,
                                   static_cast<std::size_t>(payload_len));
     u64(hash);
+}
+
+std::vector<std::uint8_t>
+Serializer::take()
+{
+    if (inSection_)
+        panic("Serializer: take() inside an open section");
+    return std::exchange(buf_, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -481,17 +481,24 @@ Deserializer::section(const std::string &name) const
 // ---------------------------------------------------------------------------
 // File assembly
 
+void
+beginSnapshotFile(Serializer &s, std::uint64_t fingerprint)
+{
+    if (s.size() != 0)
+        panic("beginSnapshotFile: the Serializer already holds %zu bytes",
+              s.size());
+    s.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+    s.u32(kSnapshotVersion);
+    s.u64(fingerprint);
+}
+
 std::vector<std::uint8_t>
 makeSnapshotFile(std::uint64_t fingerprint, const Serializer &sections)
 {
-    Serializer header;
-    header.bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-    header.u32(kSnapshotVersion);
-    header.u64(fingerprint);
-    std::vector<std::uint8_t> out = header.buffer();
-    out.insert(out.end(), sections.buffer().begin(),
-               sections.buffer().end());
-    return out;
+    Serializer out;
+    beginSnapshotFile(out, fingerprint);
+    out.bytes(sections.buffer().data(), sections.size());
+    return out.take();
 }
 
 std::string

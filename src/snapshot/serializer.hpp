@@ -24,7 +24,9 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -73,10 +75,10 @@ class Xxh64Stream {
 class Serializer {
   public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u16(std::uint16_t v) { le(v, 2); }
-    void u32(std::uint32_t v) { le(v, 4); }
-    void u64(std::uint64_t v) { le(v, 8); }
-    void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v), 8); }
+    void u16(std::uint16_t v) { le(v); }
+    void u32(std::uint32_t v) { le(v); }
+    void u64(std::uint64_t v) { le(v); }
+    void i64(std::int64_t v) { le(static_cast<std::uint64_t>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
     /** Raw IEEE-754 bit pattern — bit-exact round trip, incl. ±0/inf. */
     void f64(double v);
@@ -90,8 +92,25 @@ class Serializer {
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
+    /** Allocate room for @p n bytes up front (a size known from an
+     *  earlier, similar buffer), so the buffer is not grown by doubling,
+     *  which copies it and briefly holds both copies. */
+    void reserve(std::size_t n) { buf_.reserve(n); }
+    /** Move the bytes out, leaving this Serializer empty. */
+    std::vector<std::uint8_t> take();
+
   private:
-    void le(std::uint64_t v, int n);
+    /** One fixed-width value in one store; the host byte order is the
+     *  format's (little-endian, checked at compile time). */
+    template <typename T>
+    void
+    le(T v)
+    {
+        static_assert(std::endian::native == std::endian::little);
+        const std::size_t at = buf_.size();
+        buf_.resize(at + sizeof(T));
+        std::memcpy(buf_.data() + at, &v, sizeof(T));
+    }
 
     std::vector<std::uint8_t> buf_;
     std::size_t payloadStart_ = 0;
@@ -154,6 +173,8 @@ class Deserializer {
      * Validate an in-memory snapshot (same checks as open()). @p label
      * names the buffer in error messages. Used by the sampling engine,
      * whose warm-phase checkpoints never touch disk (docs/SAMPLING.md).
+     * It moves each image in, so the image is freed with this
+     * Deserializer.
      */
     std::string openBytes(std::vector<std::uint8_t> bytes,
                           const std::string &label);
@@ -186,7 +207,16 @@ extern const char kSnapshotMagic[8];
  *  workload section (lane cursors, lock owners, semaphore counts). */
 constexpr std::uint32_t kSnapshotVersion = 2;
 
-/** Build a complete snapshot byte stream: header + sections. */
+/**
+ * Start a snapshot byte stream: write the file header into the empty
+ * @p s. The caller appends the sections, and s.buffer() (or s.take())
+ * is then the complete file — one buffer, never a header copied in
+ * front of the sections.
+ */
+void beginSnapshotFile(Serializer &s, std::uint64_t fingerprint);
+
+/** Header + a copy of the already-built @p sections, for callers that
+ *  serialized the sections first. */
 std::vector<std::uint8_t> makeSnapshotFile(std::uint64_t fingerprint,
                                            const Serializer &sections);
 

@@ -122,6 +122,7 @@ writeCheckpoint(System &sys, const SyntheticWorkload &workload,
                 const std::string &prefix)
 {
     Serializer s;
+    beginSnapshotFile(s, fingerprint);
     s.beginSection("harness");
     s.str(h.profileName);
     s.u64(h.opsPerCpu);
@@ -140,8 +141,7 @@ writeCheckpoint(System &sys, const SyntheticWorkload &workload,
     sys.serializeState(s);
 
     const std::string path = prefix + "." + std::to_string(h.opsDone);
-    const std::string err =
-        writeFileAtomic(path, makeSnapshotFile(fingerprint, s));
+    const std::string err = writeFileAtomic(path, s.buffer());
     if (!err.empty())
         fatal("checkpoint: %s", err.c_str());
     if (InvariantChecker *checker = sys.invariantChecker())
@@ -296,6 +296,7 @@ writeReplayCheckpoint(System &sys, const TraceReplay &replay,
                       const std::string &prefix)
 {
     Serializer s;
+    beginSnapshotFile(s, fingerprint);
     s.beginSection("harness");
     s.str(h.profileName);
     s.u64(h.opsPerCpu);
@@ -314,8 +315,7 @@ writeReplayCheckpoint(System &sys, const TraceReplay &replay,
     sys.serializeState(s);
 
     const std::string path = prefix + "." + std::to_string(h.opsDone);
-    const std::string err =
-        writeFileAtomic(path, makeSnapshotFile(fingerprint, s));
+    const std::string err = writeFileAtomic(path, s.buffer());
     if (!err.empty())
         fatal("checkpoint: %s", err.c_str());
     if (InvariantChecker *checker = sys.invariantChecker())

@@ -11,7 +11,10 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile,
                                      std::uint64_t seed)
     : profile_(profile), numCpus_(num_cpus), opsPerCpu_(ops_per_cpu),
       pauseAt_(ops_per_cpu), cpus_(num_cpus),
-      rwOwner_(profile.rwObjects, kInvalidCpu)
+      rwOwner_(profile.rwObjects, kInvalidCpu),
+      codeRepeat_(1.0 / profile.codeRefsPerLine),
+      dataRepeat_(1.0 / profile.refsPerLine),
+      seqRun_(1.0 / profile.seqRunLines), gap_(1.0 / (profile.avgGap + 1.0))
 {
     profile_.validate();
     Rng master(seed);
@@ -118,7 +121,7 @@ SyntheticWorkload::phaseFor(const CpuState &cs) const
 Addr
 SyntheticWorkload::pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
                                  std::uint64_t size, double zipf,
-                                 double refs_per_line)
+                                 const Geometric &repeat)
 {
     // Temporal locality: revisit the current line several times (varying
     // the word offset) before moving on.
@@ -127,7 +130,7 @@ SyntheticWorkload::pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
         return cur.addr + cs.rng.nextBelow(kLine / 8) * 8;
     }
     cur.repeatLeft = static_cast<std::uint32_t>(
-        cs.rng.nextGeometric(1.0 / refs_per_line) - 1);
+        cs.rng.nextGeometric(repeat) - 1);
 
     if (cur.runLeft > 0 && cur.addr + kLine < base + size) {
         cur.addr += kLine;
@@ -142,15 +145,14 @@ SyntheticWorkload::pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
         cs.rng.nextBelow(kChunkBytes / kLine);
     cur.addr = base + chunk * kChunkBytes + line_in_chunk * kLine;
     cur.runLeft = static_cast<std::uint32_t>(
-        cs.rng.nextGeometric(1.0 / profile_.seqRunLines));
+        cs.rng.nextGeometric(seqRun_));
     return cur.addr;
 }
 
 std::uint32_t
 SyntheticWorkload::gapFor(CpuState &cs)
 {
-    return static_cast<std::uint32_t>(
-        cs.rng.nextGeometric(1.0 / (profile_.avgGap + 1.0)) - 1);
+    return static_cast<std::uint32_t>(cs.rng.nextGeometric(gap_) - 1);
 }
 
 bool
@@ -190,7 +192,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
         op.kind = CpuOpKind::Ifetch;
         op.addr = pickStreaming(cs, cs.code, kCodeBase,
                                 profile_.codeBytes, profile_.codeZipf,
-                                profile_.codeRefsPerLine);
+                                codeRepeat_);
         return true;
     }
 
@@ -251,7 +253,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
     if (seg < ph.pSharedRW + ph.pSharedRO) {
         op.addr = pickStreaming(cs, cs.ro, kSharedROBase,
                                 profile_.sharedROBytes, profile_.zipf,
-                                profile_.refsPerLine);
+                                dataRepeat_);
         op.kind = rng.chance(ph.pStoreSharedRO) ? CpuOpKind::Store
                                                 : CpuOpKind::Load;
         op.dependent = op.kind == CpuOpKind::Load &&
@@ -264,7 +266,7 @@ SyntheticWorkload::next(CpuId cpu, CpuOp &op)
                             kPrivateBase +
                                 static_cast<Addr>(cpu) * kPerCpuStride,
                             profile_.privateBytes, profile_.zipf,
-                            profile_.refsPerLine);
+                            dataRepeat_);
     op.kind = rng.chance(ph.pStorePrivate) ? CpuOpKind::Store
                                            : CpuOpKind::Load;
     op.dependent = op.kind == CpuOpKind::Load && rng.chance(ph.pDependent);

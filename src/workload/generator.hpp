@@ -111,7 +111,7 @@ class SyntheticWorkload : public OpSource
     const PhaseSpec &phaseFor(const CpuState &cs) const;
     Addr pickStreaming(CpuState &cs, SegCursor &cur, Addr base,
                        std::uint64_t size, double zipf,
-                       double refs_per_line);
+                       const Geometric &repeat);
     std::uint32_t gapFor(CpuState &cs);
 
     WorkloadProfile profile_;
@@ -121,6 +121,11 @@ class SyntheticWorkload : public OpSource
     std::vector<CpuState> cpus_;
     std::vector<CpuId> rwOwner_;        ///< Shared: per-object owner.
     std::vector<std::uint64_t> phaseEnd_; ///< Op index ending each phase.
+    // The profile's geometric draws, log1p(-p) precomputed per constant.
+    Geometric codeRepeat_;  ///< References per instruction line.
+    Geometric dataRepeat_;  ///< References per data line.
+    Geometric seqRun_;      ///< Sequential run length in lines.
+    Geometric gap_;         ///< Non-memory instructions between ops.
 };
 
 } // namespace cgct

@@ -101,15 +101,30 @@ TEST(Rng, GeometricMean)
     double sum = 0.0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.nextGeometric(0.125));
+        sum += static_cast<double>(rng.nextGeometric(Geometric(0.125)));
     EXPECT_NEAR(sum / n, 8.0, 0.5);
 }
 
 TEST(Rng, GeometricAlwaysAtLeastOne)
 {
     Rng rng(19);
+    const Geometric g(0.99);
     for (int i = 0; i < 1000; ++i)
-        ASSERT_GE(rng.nextGeometric(0.99), 1u);
+        ASSERT_GE(rng.nextGeometric(g), 1u);
+}
+
+TEST(Rng, GeometricClampsKeepTheStream)
+{
+    // p >= 1 draws 1 without consuming the stream; p <= 0 still draws.
+    Rng a(29), b(29);
+    EXPECT_EQ(a.nextGeometric(Geometric(1.0)), 1u);
+    EXPECT_EQ(a.nextGeometric(Geometric(3.0)), 1u);
+    EXPECT_EQ(a.next(), b.next());
+    EXPECT_GE(a.nextGeometric(Geometric(0.0)), 1u);
+    EXPECT_GE(a.nextGeometric(Geometric(-1.0)), 1u);
+    b.next();
+    b.next();
+    EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Rng, ZipfInRange)

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the statistical-sampling engine (docs/SAMPLING.md):
- * determinism across job counts, agreement with full-detail runs,
- * geometry validation, warm-state invariants, journal persistence of
- * the sampling tail, and the sampled sweep CSV columns.
+ * determinism across job counts, peak memory flat in the window count,
+ * agreement with full-detail runs, geometry validation, warm-state
+ * invariants, journal persistence of the sampling tail, and the sampled
+ * sweep CSV columns.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <sstream>
@@ -87,16 +92,77 @@ TEST(Sampling, ByteIdenticalAcrossJobs)
     const SystemConfig config = makeDefaultConfig().withCgct(512);
     const WorkloadProfile &profile = benchmarkByName("tpc-w");
 
-    SamplingOptions serial = smallSampling();
-    serial.jobs = 1;
-    SamplingOptions parallel = smallSampling();
-    parallel.jobs = 4;
+    // K == jobs; K > jobs, so the warm pass blocks on the oldest window
+    // once every worker has one in flight; K < jobs.
+    const struct {
+        std::uint64_t windows;
+        unsigned jobs;
+    } cases[] = {{4, 4}, {8, 2}, {2, 4}};
+    for (const auto &c : cases) {
+        SamplingOptions serial = smallSampling();
+        serial.windows = c.windows;
+        serial.jobs = 1;
+        SamplingOptions parallel = serial;
+        parallel.jobs = c.jobs;
 
-    const RunResult a =
-        simulateSampled(config, profile, smallRun(), serial);
-    const RunResult b =
-        simulateSampled(config, profile, smallRun(), parallel);
-    EXPECT_EQ(encoded(a), encoded(b));
+        const RunResult a =
+            simulateSampled(config, profile, smallRun(), serial);
+        const RunResult b =
+            simulateSampled(config, profile, smallRun(), parallel);
+        EXPECT_EQ(encoded(a), encoded(b))
+            << c.windows << " windows on " << c.jobs << " jobs";
+    }
+}
+
+/** Peak RSS (KiB) of a forked child that runs one sampled run; -1 if
+ *  the child failed. */
+long
+childPeakRssKb(const SystemConfig &config, const RunOptions &opts,
+               const SamplingOptions &sopts)
+{
+    const pid_t pid = fork();
+    if (pid == 0) {
+        simulateSampled(config, benchmarkByName("tpc-w"), opts, sopts);
+        _exit(0);
+    }
+    int status = 0;
+    rusage ru{};
+    if (pid < 0 || wait4(pid, &status, 0, &ru) != pid ||
+        !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+        return -1;
+    return ru.ru_maxrss;
+}
+
+/**
+ * Each warm snapshot goes to its window as soon as it is taken, so a
+ * sweep cell's peak memory does not grow with the window count. A warm
+ * pass that held all K images until it ended would peak at about 4x the
+ * K=2 figure here (each 16-node image is ~25 MB).
+ */
+TEST(Sampling, PeakMemoryFlatInWindowCount)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    // ASan's quarantine keeps up to 256 MB of freed blocks resident, so
+    // RSS there counts freed images too (213 vs 363 MB at K=2 vs K=16).
+    GTEST_SKIP() << "RSS under ASan includes the quarantine of freed "
+                    "blocks, not only live ones";
+#endif
+    SystemConfig config = makeDefaultConfig().withCgct(512);
+    config.topology.numCpus = 16;
+    config.interconnect.topology = TopologyKind::Hier;
+    config.validate();
+
+    SamplingOptions sopts = smallSampling();
+    sopts.jobs = 1; // as in a sweep cell
+    sopts.windows = 2;
+    const long k2 = childPeakRssKb(config, smallRun(), sopts);
+    sopts.windows = 16;
+    const long k16 = childPeakRssKb(config, smallRun(), sopts);
+    ASSERT_GT(k2, 0);
+    ASSERT_GT(k16, 0);
+    EXPECT_LE(static_cast<double>(k16), 1.5 * static_cast<double>(k2))
+        << "peak RSS " << k2 / 1024 << " MB at K=2, " << k16 / 1024
+        << " MB at K=16";
 }
 
 TEST(Sampling, ZeroWindowsFallsBackToFullDetail)
