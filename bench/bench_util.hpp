@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches: run options
- * from the environment, percent formatting, and benchmark display names.
+ * Shared helpers for the benches that build their own runs: run options
+ * from the environment, percent formatting and table rules.
  *
  * Environment knobs (all optional):
  *   CGCT_OPS     operations per processor per run   (default 120000)
@@ -47,16 +47,6 @@ inline double
 pct(double x)
 {
     return 100.0 * x;
-}
-
-/** Sum a per-category counter array. */
-inline std::uint64_t
-sumCats(const std::uint64_t (&a)[RunResult::kNumCat])
-{
-    std::uint64_t s = 0;
-    for (std::size_t i = 0; i < RunResult::kNumCat; ++i)
-        s += a[i];
-    return s;
 }
 
 inline void

@@ -128,6 +128,7 @@ ArgParser::parse(int argc, const char *const *argv, std::string *error_out)
             Option *opt = find(name);
             if (!opt)
                 return fail("unknown option --" + name);
+            opt->given = true;
             if (opt->isFlag) {
                 if (has_value)
                     return fail("option --" + name + " takes no value");
@@ -154,6 +155,15 @@ ArgParser::parse(int argc, const char *const *argv, std::string *error_out)
                         positionals_[i].name + ">");
     }
     return true;
+}
+
+bool
+ArgParser::given(const std::string &name) const
+{
+    for (const Option &o : options_)
+        if (o.name == name)
+            return o.given;
+    return false;
 }
 
 void

@@ -46,6 +46,10 @@ class ArgParser
 
     bool helpRequested() const { return helpRequested_; }
 
+    /** True when the last parse() saw option --@p name on the command
+     *  line (as opposed to leaving its default). */
+    bool given(const std::string &name) const;
+
     /** Render the --help text. */
     void printHelp(std::ostream &os) const;
 
@@ -55,6 +59,7 @@ class ArgParser
         std::string help;
         std::string metavar;
         bool isFlag = false;
+        bool given = false;
         std::function<bool(const std::string &)> set;
         std::function<std::string()> show;
     };

@@ -1,9 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <future>
-
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/system.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -285,61 +282,6 @@ collectRunResult(System &sys, const std::string &workload_name,
             sys.traceSink().takeEvents());
     }
     return r;
-}
-
-namespace {
-
-/** The multi-seed chain: each run's seed derives from the previous one,
- * so the whole sequence is fixed by the base seed alone. */
-std::vector<std::uint64_t>
-seedChain(std::uint64_t base, unsigned n_seeds)
-{
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(n_seeds);
-    std::uint64_t s = base;
-    for (unsigned i = 0; i < n_seeds; ++i) {
-        s = s * 2654435761ULL + 12345 + i;
-        seeds.push_back(s);
-    }
-    return seeds;
-}
-
-} // namespace
-
-std::vector<RunResult>
-simulateSeeds(const SystemConfig &config, const WorkloadProfile &profile,
-              RunOptions opts, unsigned n_seeds)
-{
-    std::vector<RunResult> out;
-    out.reserve(n_seeds);
-    for (std::uint64_t seed : seedChain(opts.seed, n_seeds)) {
-        opts.seed = seed;
-        out.push_back(simulateOnce(config, profile, opts));
-    }
-    return out;
-}
-
-std::vector<RunResult>
-simulateSeedsParallel(const SystemConfig &config,
-                      const WorkloadProfile &profile, RunOptions opts,
-                      unsigned n_seeds, unsigned jobs)
-{
-    const std::vector<std::uint64_t> seeds = seedChain(opts.seed, n_seeds);
-    std::vector<std::future<RunResult>> futures;
-    futures.reserve(n_seeds);
-    ThreadPool pool(jobs);
-    for (unsigned i = 0; i < n_seeds; ++i) {
-        RunOptions run_opts = opts;
-        run_opts.seed = seeds[i];
-        futures.push_back(pool.submit([&config, &profile, run_opts] {
-            return simulateOnce(config, profile, run_opts);
-        }));
-    }
-    std::vector<RunResult> out;
-    out.reserve(n_seeds);
-    for (auto &f : futures)
-        out.push_back(f.get());
-    return out;
 }
 
 RunSummary

@@ -2,9 +2,10 @@
  * @file
  * Run harness: builds a System around a synthetic workload, warms it up,
  * measures, and returns a RunResult with everything the benches need to
- * reproduce the paper's figures. Multi-seed helpers implement the paper's
- * variability methodology (several perturbed runs, 95% confidence
- * intervals, after Alameldeen et al. [27]).
+ * reproduce the paper's figures. Multi-seed runs (the paper's
+ * variability methodology: several perturbed runs, 95% confidence
+ * intervals, after Alameldeen et al. [27]) go through SweepRunner
+ * (sim/sweep.hpp); runtimeSummary() reduces them.
  */
 
 #pragma once
@@ -228,23 +229,6 @@ void scheduleWarmupCheck(System &sys,
                          std::function<std::uint64_t()> min_ops,
                          std::uint64_t warmup_ops, Tick *measure_start,
                          bool *done = nullptr);
-
-/** Run @p n_seeds simulations differing only in seed. */
-std::vector<RunResult> simulateSeeds(const SystemConfig &config,
-                                     const WorkloadProfile &profile,
-                                     RunOptions opts, unsigned n_seeds);
-
-/**
- * Like simulateSeeds() — same seed chain, same result order — but runs
- * the seeds concurrently on @p jobs worker threads (0 = hardware
- * concurrency). Every run owns its simulation state, so the results are
- * identical to the serial helper at any job count.
- */
-std::vector<RunResult> simulateSeedsParallel(const SystemConfig &config,
-                                             const WorkloadProfile &profile,
-                                             RunOptions opts,
-                                             unsigned n_seeds,
-                                             unsigned jobs);
 
 /** Summarize the runtimes (cycles) of a batch of runs. */
 RunSummary runtimeSummary(const std::vector<RunResult> &runs);

@@ -33,6 +33,32 @@ SweepSpec::expand() const
     return cells;
 }
 
+SystemConfig
+SweepSpec::cellConfig(const SweepCell &cell) const
+{
+    if (!cell.regionBytes)
+        return baseConfig.baseline();
+    SystemConfig config = baseConfig;
+    config.cgct.enabled = true;
+    config.cgct.regionBytes = cell.regionBytes;
+    return config;
+}
+
+RunResult
+SweepSpec::runCell(const SweepCell &cell) const
+{
+    const SystemConfig config = cellConfig(cell);
+    RunOptions run_opts = opts;
+    run_opts.seed = cell.seed;
+    if (!sampled)
+        return simulateOnce(config, *cell.profile, run_opts);
+    // Cells are the unit of parallelism; the windows inside one cell
+    // run serially (no nested pools).
+    SamplingOptions sopts = sampling;
+    sopts.jobs = 1;
+    return simulateSampled(config, *cell.profile, run_opts, sopts);
+}
+
 SweepRunner::SweepRunner(SweepSpec spec, unsigned jobs)
     : spec_(std::move(spec)),
       jobs_(jobs ? jobs : ThreadPool::defaultThreads())
@@ -87,22 +113,7 @@ SweepRunner::runResumable(const ResumeHooks &hooks,
                 skipped[cell.index] = 1;
                 return RunResult{};
             }
-            const SystemConfig config =
-                cell.regionBytes
-                    ? spec_.baseConfig.withCgct(cell.regionBytes)
-                    : spec_.baseConfig;
-            RunOptions opts = spec_.opts;
-            opts.seed = cell.seed;
-            RunResult r;
-            if (spec_.sampled) {
-                // Cells are the unit of parallelism; the windows inside
-                // one cell run serially (no nested pools).
-                SamplingOptions sopts = spec_.sampling;
-                sopts.jobs = 1;
-                r = simulateSampled(config, *cell.profile, opts, sopts);
-            } else {
-                r = simulateOnce(config, *cell.profile, opts);
-            }
+            RunResult r = spec_.runCell(cell);
             if (hooks.onCompleted)
                 hooks.onCompleted(cell, r);
             const std::size_t done = completed.fetch_add(1) + 1;

@@ -7,8 +7,8 @@
  * completion order.
  *
  * Determinism contract: every cell's seed is derived at expansion time
- * from the base seed alone (the same multiply-add chain the serial
- * cgct_sweep always used), each job owns its entire simulation state
+ * from the base seed alone (nextSweepSeed, the one seed chain every
+ * multi-run tool uses), each job owns its entire simulation state
  * (workload generator, RNGs, System), and rows are emitted strictly in
  * cell-index order. Same spec + same base seed => same bytes at any
  * --jobs value.
@@ -30,7 +30,12 @@
 
 namespace cgct {
 
-/** The seed-chain step shared by cgct_sweep and simulateSeeds. */
+/**
+ * The seed-chain step. Every multi-run experiment — cgct_sweep cells,
+ * `cgct_sim --seeds N`, the named matrices (sim/experiments.hpp) — runs
+ * seed k = nextSweepSeed applied k+1 times to the base seed, so a
+ * single run at base seed S uses nextSweepSeed(S).
+ */
 inline std::uint64_t
 nextSweepSeed(std::uint64_t s)
 {
@@ -68,6 +73,17 @@ struct SweepSpec {
     /** Enumerate cells: profile-major, then region, then seed — the
      * exact order the serial sweep always emitted. */
     std::vector<SweepCell> expand() const;
+
+    /**
+     * The configuration one cell runs: baseConfig with CGCT switched on
+     * at the cell's region size (or off for region 0). Only `enabled`
+     * and `regionBytes` change, so the base's RCA geometry and protocol
+     * options carry into every CGCT cell.
+     */
+    SystemConfig cellConfig(const SweepCell &cell) const;
+
+    /** Run one cell (full-detail or sampled) on the calling thread. */
+    RunResult runCell(const SweepCell &cell) const;
 };
 
 /** What a (possibly interrupted) resumable sweep produced. */

@@ -44,6 +44,24 @@ TEST(ArgParse, ParsesSeparateAndEqualsValues)
     EXPECT_DOUBLE_EQ(d, 2.5);
 }
 
+TEST(ArgParse, GivenTellsSetFromDefault)
+{
+    std::uint64_t n = 4;
+    std::uint64_t m = 4;
+    bool flag = false;
+    ArgParser p("prog");
+    p.addU64("n", &n, "");
+    p.addU64("m", &m, "");
+    p.addFlag("flag", &flag, "");
+    // Passing the default value explicitly still counts as given.
+    const char *argv[] = {"prog", "--n=4", "--flag"};
+    ASSERT_TRUE(p.parse(3, argv));
+    EXPECT_TRUE(p.given("n"));
+    EXPECT_TRUE(p.given("flag"));
+    EXPECT_FALSE(p.given("m"));
+    EXPECT_FALSE(p.given("no-such-option"));
+}
+
 TEST(ArgParse, FlagsTakeNoValue)
 {
     bool flag = false;

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the run harness: determinism, RunResult accounting identities,
- * baseline-vs-CGCT relationships on a small workload, and the multi-seed
- * helpers.
+ * baseline-vs-CGCT relationships on a small workload, and multi-seed
+ * runs through the sweep runner.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {
@@ -111,9 +112,14 @@ TEST(Simulator, WarmupResetsCounters)
 
 TEST(Simulator, SeedsProduceDistinctRuns)
 {
-    auto runs = simulateSeeds(makeDefaultConfig(),
-                              benchmarkByName("ocean"), quickOpts(4000),
-                              3);
+    SweepSpec spec;
+    spec.profiles = {&benchmarkByName("ocean")};
+    spec.regionSizes = {0};
+    spec.seedsPerCell = 3;
+    spec.baseSeed = 99;
+    spec.opts = quickOpts(4000);
+    spec.baseConfig = makeDefaultConfig();
+    const auto runs = SweepRunner(spec, 1).run();
     ASSERT_EQ(runs.size(), 3u);
     EXPECT_NE(runs[0].cycles, runs[1].cycles);
     EXPECT_NE(runs[1].cycles, runs[2].cycles);
@@ -121,6 +127,14 @@ TEST(Simulator, SeedsProduceDistinctRuns)
     EXPECT_EQ(s.count, 3u);
     EXPECT_GT(s.mean, 0.0);
     EXPECT_GT(s.ci95Half, 0.0);
+
+    // The same seeds on three workers: same runs, same order.
+    const auto parallel = SweepRunner(spec, 3).run();
+    ASSERT_EQ(parallel.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(parallel[i].seed, runs[i].seed);
+        EXPECT_EQ(parallel[i].cycles, runs[i].cycles);
+    }
 }
 
 TEST(Simulator, RcaStatsPopulatedUnderCgct)

@@ -123,23 +123,28 @@ TEST(Sweep, ProgressCoversEveryCell)
     EXPECT_EQ(max_done.load(), 8u);
 }
 
-TEST(Sweep, ParallelSeedsMatchSerialHelper)
+TEST(Sweep, CellKeepsBaseRcaGeometry)
 {
-    const SystemConfig cfg = makeDefaultConfig();
-    const WorkloadProfile &p = benchmarkByName("ocean");
-    RunOptions opts;
-    opts.opsPerCpu = 4000;
-    opts.warmupOps = 0;
-    opts.seed = 77;
-    const auto serial = simulateSeeds(cfg, p, opts, 3);
-    const auto parallel = simulateSeedsParallel(cfg, p, opts, 3, 4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].seed, parallel[i].seed);
-        EXPECT_EQ(serial[i].cycles, parallel[i].cycles);
-        EXPECT_EQ(serial[i].broadcasts, parallel[i].broadcasts);
-        EXPECT_EQ(serial[i].requestsTotal, parallel[i].requestsTotal);
-    }
+    // A CGCT cell switches CGCT on at its region size and changes
+    // nothing else: a half-size RCA in the base config stays half size.
+    SweepSpec spec = smallSpec();
+    spec.profiles = {&benchmarkByName("tpc-w")};
+    spec.regionSizes = {512};
+    spec.seedsPerCell = 1;
+    spec.baseConfig.cgct.rcaSets = 4096;
+    const std::vector<RunResult> results = SweepRunner(spec, 1).run();
+    ASSERT_EQ(results.size(), 1u);
+
+    RunOptions opts = spec.opts;
+    opts.seed = nextSweepSeed(spec.baseSeed);
+    const RunResult half = simulateOnce(
+        makeDefaultConfig().withCgct(512, 4096, 2), *spec.profiles[0],
+        opts);
+    const RunResult full = simulateOnce(makeDefaultConfig().withCgct(512),
+                                        *spec.profiles[0], opts);
+    EXPECT_EQ(toJson(results[0]), toJson(half));
+    // The probe can tell the two geometries apart.
+    EXPECT_NE(toJson(half), toJson(full));
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "common/trace_sink.hpp"
 #include "core/region_protocol.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "workload/benchmarks.hpp"
 
 namespace cgct {
@@ -130,11 +131,15 @@ TEST(TraceSink, TraceCoversTheProtocol)
 
 TEST(TraceSink, DeterministicAcrossJobs)
 {
-    const SystemConfig c = tracedConfig();
-    const WorkloadProfile &profile = benchmarkByName("ocean");
-    const auto serial = simulateSeeds(c, profile, shortRun(), 3);
-    const auto parallel =
-        simulateSeedsParallel(c, profile, shortRun(), 3, 3);
+    SweepSpec spec;
+    spec.profiles = {&benchmarkByName("ocean")};
+    spec.regionSizes = {512};
+    spec.seedsPerCell = 3;
+    spec.opts = shortRun();
+    spec.baseConfig = tracedConfig();
+    const auto serial = SweepRunner(spec, 1).run();
+    const auto parallel = SweepRunner(spec, 3).run();
+    ASSERT_EQ(serial.size(), 3u);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_NE(serial[i].trace, nullptr);

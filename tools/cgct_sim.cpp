@@ -25,6 +25,7 @@
 #include "sim/json_stats.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/benchmarks.hpp"
@@ -359,9 +360,9 @@ main(int argc, char **argv)
     std::vector<RunResult> results;
     if (sample) {
         const WorkloadProfile &profile = benchmarkByName(benchmark);
-        // First link of simulateSeeds' chain, so a sampled run estimates
-        // the same experiment as `--seeds 1`.
-        opts.seed = opts.seed * 2654435761ULL + 12345;
+        // First link of the seed chain, so a sampled run estimates the
+        // same experiment as `--seeds 1`.
+        opts.seed = nextSweepSeed(opts.seed);
         SamplingOptions sopts;
         sopts.windows = sample;
         sopts.windowOps = window_ops;
@@ -379,9 +380,9 @@ main(int argc, char **argv)
             simulateCheckpointedReplay(config, replay_path, opts, ckpt));
     } else if (checkpointing) {
         const WorkloadProfile &profile = benchmarkByName(benchmark);
-        // Match the first link of simulateSeeds' chain, so a
-        // checkpointed run is the same experiment as `--seeds 1`.
-        opts.seed = opts.seed * 2654435761ULL + 12345;
+        // First link of the seed chain, so a checkpointed run is the
+        // same experiment as `--seeds 1`.
+        opts.seed = nextSweepSeed(opts.seed);
         CheckpointOptions ckpt;
         ckpt.everyOps = checkpoint_every;
         ckpt.writePrefix = checkpoint_path;
@@ -394,16 +395,17 @@ main(int argc, char **argv)
         results.push_back(simulateReplay(config, replay_path, opts,
                                          stats ? &std::cout : nullptr));
     } else {
-        const WorkloadProfile &profile = benchmarkByName(benchmark);
-        // Seed chains are precomputed, so serial and parallel runs
-        // return identical results in identical order.
-        if (jobs == 1)
-            results = simulateSeeds(config, profile, opts,
-                                    static_cast<unsigned>(seeds));
-        else
-            results = simulateSeedsParallel(
-                config, profile, opts, static_cast<unsigned>(seeds),
-                static_cast<unsigned>(jobs));
+        // The seeds are one sweep cell group: the same seed chain and
+        // rows as `cgct_sweep --benchmarks B --regions R --seeds N`, at
+        // any --jobs.
+        SweepSpec spec;
+        spec.profiles = {&benchmarkByName(benchmark)};
+        spec.regionSizes = {baseline ? 0 : region};
+        spec.seedsPerCell = static_cast<unsigned>(seeds);
+        spec.baseSeed = seed;
+        spec.opts = opts;
+        spec.baseConfig = config;
+        results = SweepRunner(spec, static_cast<unsigned>(jobs)).run();
     }
 
     if (!trace_out.empty()) {

@@ -8,6 +8,7 @@
  *   cgct_sweep --ops 120000 --seeds 3 > sweep.csv
  *   cgct_sweep --benchmarks tpc-w,barnes --regions 512 --seeds 5
  *   cgct_sweep --jobs 8 --format json > sweep.json
+ *   cgct_sweep --matrix fig8 --seeds 5     # a named experiment report
  */
 
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "common/argparse.hpp"
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "sim/experiments.hpp"
 #include "sim/json_stats.hpp"
 #include "sim/sweep.hpp"
 #include "snapshot/journal.hpp"
@@ -57,6 +59,29 @@ splitCsv(const std::string &s)
     return out;
 }
 
+/** `--matrix NAME|all`: run the matrices on one pool and print their
+ *  reports (docs/SWEEP.md); @p base carries benchmarks, ops and seeds. */
+void
+runMatrixReports(const std::string &names, const SweepSpec &base,
+                 unsigned jobs, bool show_progress)
+{
+    std::vector<Matrix> matrices;
+    for (const std::string &name :
+         names == "all" ? matrixNames() : std::vector<std::string>{names})
+        matrices.push_back(makeMatrix(name, base));
+    const auto rows = runMatrices(
+        matrices, jobs, [show_progress](std::size_t done, std::size_t total) {
+            if (show_progress)
+                std::fprintf(stderr, "cgct_sweep: [%zu/%zu] matrix cells\n",
+                             done, total);
+        });
+    for (std::size_t i = 0; i < matrices.size(); ++i) {
+        if (i)
+            std::cout << "\n";
+        printMatrixReport(std::cout, matrices[i], rows[i]);
+    }
+}
+
 } // namespace
 
 int
@@ -78,6 +103,7 @@ main(int argc, char **argv)
     std::string warm_mode = "functional";
     std::uint64_t nodes = 4;
     std::string topology = "bus";
+    std::string matrix;
 
     ArgParser parser("cgct_sweep",
                      "Run the benchmark x region-size matrix in parallel "
@@ -123,6 +149,11 @@ main(int argc, char **argv)
                      "interconnect organization: bus (flat broadcast), "
                      "hier (two-level snoop hierarchy) or dir (full-map "
                      "directory); see docs/TOPOLOGY.md");
+    parser.addString("matrix", &matrix,
+                     "print the report of a named experiment matrix "
+                     "(fig2, fig7, fig8, ... or 'all'; docs/SWEEP.md) "
+                     "instead of one row per run; --seeds applies to the "
+                     "matrices that report a CI (fig8, fig9)");
 
     std::string error;
     if (!parser.parse(argc, argv, &error)) {
@@ -165,6 +196,24 @@ main(int argc, char **argv)
     spec.baseConfig.topology.numCpus = static_cast<unsigned>(nodes);
     spec.baseConfig.interconnect.topology = topo_kind;
     spec.baseConfig.validate();
+
+    const bool show_progress =
+        !no_progress && (progress || isatty(STDERR_FILENO));
+
+    if (!matrix.empty()) {
+        // A matrix defines its own cells and prints a report.
+        for (const char *flag : {"regions", "sample", "window-ops",
+                                 "warm-mode", "nodes", "topology",
+                                 "resume", "format"})
+            if (parser.given(flag)) {
+                std::fprintf(stderr, "cgct_sweep: --%s does not combine "
+                                     "with --matrix\n", flag);
+                return 1;
+            }
+        runMatrixReports(matrix, spec, static_cast<unsigned>(jobs),
+                         show_progress);
+        return 0;
+    }
     if (sample) {
         WarmMode wmode = WarmMode::Functional;
         if (!parseWarmMode(warm_mode, &wmode)) {
@@ -187,9 +236,6 @@ main(int argc, char **argv)
         spec.sampling.windowOps = window_ops;
         spec.sampling.warmMode = wmode;
     }
-
-    const bool show_progress =
-        !no_progress && (progress || isatty(STDERR_FILENO));
 
     SweepRunner runner(spec, static_cast<unsigned>(jobs));
     if (show_progress)

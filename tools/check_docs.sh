@@ -8,6 +8,9 @@
 #      Conversely, every flag-table row (| `--name ...` |) in
 #      docs/SWEEP.md must be registered by some tools/*.cpp, so a
 #      removed option cannot leave a stale row behind.
+#      Every experiment matrix registered in src/sim/experiments.cpp
+#      (`cgct_sweep --matrix NAME`) must have a row | `NAME` | in
+#      docs/SWEEP.md.
 #   2. docs/PERF.md must cover the perf bench targets and build knobs.
 #   3. Every trace event type in the CGCT_TRACE_EVENT_TYPES X-macro
 #      (src/common/trace_sink.hpp) must be documented in docs/TRACING.md.
@@ -43,7 +46,7 @@
 #
 # Wired into ctest as the `docs_check` test (see tests/CMakeLists.txt);
 # tools/check_docs_selftest.sh checks that guard 1 fails on injected
-# drift in both directions.
+# drift in both directions and on an undocumented matrix.
 
 set -u
 
@@ -93,6 +96,17 @@ for flag in $doc_flags; do
              "tools/*.cpp registers it" >&2
         fail=1
     fi
+done
+
+# Every named experiment matrix needs its row in the matrix table.
+matrices=$(grep -oE 'push_back\(\{"[a-z0-9]+",$' \
+    "$root/src/sim/experiments.cpp" | sed -E 's/.*"([a-z0-9]+)".*/\1/')
+[ -n "$matrices" ] || { echo "check_docs: no matrices found in" \
+    "src/sim/experiments.cpp (registry moved?)" >&2; fail=1; }
+for name in $matrices; do
+    grep -q -- "^| \`$name\` |" "$doc" || { fail=1
+        echo "check_docs: experiment matrix $name is not documented" \
+             "in docs/SWEEP.md" >&2; }
 done
 
 # Performance documentation: docs/PERF.md must exist and cover the perf

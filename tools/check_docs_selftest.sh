@@ -9,8 +9,11 @@
 #                      tools/*.cpp registers (a removed option)
 #   undocumented-flag  an addFlag("...") call in a tools/*.cpp with no
 #                      docs/SWEEP.md entry
+#   undocumented-matrix  an experiment matrix registered in
+#                      src/sim/experiments.cpp with no docs/SWEEP.md row
 #
-#   tools/check_docs_selftest.sh <repo-root> <stale-row|undocumented-flag>
+#   tools/check_docs_selftest.sh <repo-root> <stale-row|undocumented-flag|
+#                                             undocumented-matrix>
 #
 # Wired into ctest as `docs_check_<mode>` (see tests/CMakeLists.txt).
 
@@ -42,6 +45,11 @@ undocumented-flag)
     printf '// p.addFlag("zz-undocumented", &x, "");\n' \
         >> "$tmp/tools/cgct_sim.cpp"
     want='flag --zz-undocumented is not documented'
+    ;;
+undocumented-matrix)
+    printf '    ms.push_back({"zzundocumented",\n' \
+        >> "$tmp/src/sim/experiments.cpp"
+    want='experiment matrix zzundocumented is not documented'
     ;;
 *)
     echo "check_docs_selftest: unknown mode '$mode'" >&2
